@@ -96,7 +96,7 @@ def _cmd_match(args) -> int:
     right = hio.read_histogram_set(args.right, labeled=True)
     metric = MetricKind.from_token(args.metric)
     t0 = time.perf_counter()
-    instance = build_instance(left, right, metric, prune=args.prune)
+    instance = build_instance(left, right, metric)
     t1 = time.perf_counter()
 
     spec = args.algorithm.lower()
@@ -200,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True)
     p.add_argument("--metric", default="proposed", choices=[k.value for k in MetricKind])
     p.add_argument("--algorithm", default="a1", help="a1 | a2:<r> | greedy | brute[:r]")
-    p.add_argument("--prune", action="store_true")
     p.add_argument("--out-pairs", required=True)
     p.add_argument("--out-summary", default=None)
     p.set_defaults(func=_cmd_match)

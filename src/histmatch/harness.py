@@ -19,7 +19,7 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,6 @@ class AccuracyReport:
     user_level_pct: float | None
     percentage_accuracy: float | None
     cluster_level_pct: float | None = None
-    runtime_ms: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n_correct > self.n_common:
@@ -224,14 +223,7 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "metrics": list(self.metrics),
-            "repetitions": self.repetitions,
-            "seed": self.seed,
-            "params": dict(self.params),
-            "workers": self.workers,
-        }
+        return asdict(self)
 
     def merged_params(self) -> dict:
         merged = dict(_DEFAULT_PARAMS[self.scenario])
@@ -331,7 +323,6 @@ def _score(
     partition: ClusterPartition | None = None,
 ) -> dict:
     report = user_level_accuracy(result, truth, instance.left, instance.right)
-    report.runtime_ms = {"weights": weights_ms, "solve": solve_ms}
     payload = {
         "user_pct": report.user_level_pct,
         "pct_acc": report.percentage_accuracy,

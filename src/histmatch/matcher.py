@@ -5,15 +5,14 @@ Solvers:
 * ``match_min_weight`` (A1): exact minimum-weight maximal matching, i.e. an
   assignment covering every left node, via the Hungarian method.
 * ``match_cardinality`` (A2): exact minimum-weight matching with a fixed
-  number of pairs (minimum-cost imperfect matching), via successive shortest
-  augmenting paths with node potentials.
+  number of pairs (minimum-cost imperfect matching), solved as one padded
+  assignment problem.
 * ``match_bruteforce``: exhaustive enumeration oracle for small instances.
 * ``match_greedy``: cheap approximation that repeatedly takes the globally
   lightest remaining edge.
 
 All solvers minimize; similarity weights are converted to distances when the
-instance is built.  Pruned pairs are materialized at the metric's maximal
-distance, so every solver sees the same dense cost structure.
+instance is built.
 """
 from __future__ import annotations
 
@@ -32,7 +31,7 @@ from .errors import (
     SwapSidesError,
     TooLargeForOracleError,
 )
-from .metrics import MetricKind, common_support_mask, shannon_entropy, weight_matrix
+from .metrics import MetricKind, shannon_entropy, weight_matrix
 
 ORACLE_LIMIT = 8
 
@@ -64,18 +63,12 @@ class MatchResult:
 
 @dataclass(frozen=True)
 class BipartiteInstance:
-    """Two histogram sets plus their dense, distance-oriented weight matrix.
-
-    ``weights[i, j]`` always holds a solvable value: pruned pairs are filled
-    with the metric's maximal distance.  ``present`` marks which pairs carry a
-    stored edge; ``None`` means all of them.
-    """
+    """Two histogram sets plus their dense, distance-oriented weight matrix."""
 
     left: HistogramSet
     right: HistogramSet
     metric: MetricKind
     weights: np.ndarray
-    present: np.ndarray | None = None
 
     def __post_init__(self):
         if self.weights.shape != (len(self.left), len(self.right)):
@@ -91,41 +84,17 @@ class BipartiteInstance:
     def n_right(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def edge_count(self) -> int:
-        if self.present is None:
-            return self.weights.size
-        return int(self.present.sum())
-
-    def edges(self, i: int) -> list[tuple[int, float]]:
-        """Stored edges of left node ``i`` as (right index, weight) pairs."""
-        row = self.weights[i]
-        if self.present is None:
-            return [(j, float(row[j])) for j in range(self.n_right)]
-        return [(int(j), float(row[j])) for j in np.flatnonzero(self.present[i])]
-
 
 def build_instance(
     left: HistogramSet,
     right: HistogramSet,
     metric: MetricKind,
-    prune: bool = False,
 ) -> BipartiteInstance:
-    """Compute all pairwise weights between two histogram sets.
-
-    With ``prune`` and the divergence metric, disjoint-support pairs are
-    dropped from the stored edge set; their matrix slots keep the maximal
-    distance, which is exactly their weight, so solving is unaffected.
-    Pruning is a no-op for the other metrics.
-    """
+    """Compute all pairwise weights between two histogram sets."""
     if len(left) == 0 or len(right) == 0:
         raise ValueError("histogram sets must be non-empty")
     w = weight_matrix(left, right, metric)
-    present = None
-    if prune and metric is MetricKind.PROPOSED:
-        present = common_support_mask(left, right)
-        w = np.where(present, w, metric.max_distance)
-    return BipartiteInstance(left=left, right=right, metric=metric, weights=w, present=present)
+    return BipartiteInstance(left=left, right=right, metric=metric, weights=w)
 
 
 def _result(weights: np.ndarray, pairs: list[tuple[int, int]], algorithm: str) -> MatchResult:
@@ -151,93 +120,31 @@ def match_min_weight(instance: BipartiteInstance) -> MatchResult:
 def match_cardinality(instance: BipartiteInstance, r: int) -> MatchResult:
     """Exact minimum-weight matching with exactly ``r`` pairs.
 
-    Successive shortest augmenting paths on the flow formulation of the
-    bipartite graph: after each augmentation the current flow is a
-    minimum-cost matching of its own cardinality, so stopping after ``r``
-    augmentations yields the optimal r-matching.
+    Solved as one rectangular assignment on the n x (m + n - r) matrix that
+    appends n - r dummy columns to the weights, all holding one constant d
+    below every weight.  Every row is assigned, so an assignment with k real
+    pairs leaves n - k rows in dummy columns, and k >= r because there are
+    only n - r of them.  Given k > r real pairs, moving one of them to a free
+    dummy column changes the cost by d - w < 0, so an optimum fills every
+    dummy column and keeps exactly r real pairs.  All such assignments pay
+    the same (n - r) d for their dummies, so the real pairs of the optimum
+    form a minimum-weight r-matching.  The argument only compares d with the
+    weights, so it holds for any finite matrix, negative entries included.
+    d sits below the smallest weight by more than the largest weight
+    magnitude, so the gap survives rounding at any scale (a fixed gap of 1
+    rounds away once the weights reach 2**53).
     """
-    n, m = instance.weights.shape
+    w = instance.weights
+    n, m = w.shape
     if not 1 <= r <= min(n, m):
         raise InvalidCardinalityError(f"cardinality {r} outside 1..{min(n, m)}")
-    match_l = _successive_shortest_paths(instance.weights, r)
-    pairs = [(i, int(j)) for i, j in enumerate(match_l) if j >= 0]
-    return _result(instance.weights, pairs, f"A2({r})")
-
-
-def _successive_shortest_paths(w: np.ndarray, r: int) -> np.ndarray:
-    """Min-cost flow of value ``r`` on the bipartite graph, returned as match_l.
-
-    Node layout: left 0..n-1, right n..n+m-1, then source and sink.  Node
-    potentials keep reduced costs nonnegative so each augmentation is a plain
-    Dijkstra pass; weights must be nonnegative for the initial zero potential
-    to be valid.
-    """
-    n, m = w.shape
-    source, sink = n + m, n + m + 1
-    n_nodes = n + m + 2
-    pot = np.zeros(n_nodes)
-    match_l = np.full(n, -1, dtype=np.int64)
-    match_r = np.full(m, -1, dtype=np.int64)
-
-    for _ in range(r):
-        dist = np.full(n_nodes, np.inf)
-        parent = np.full(n_nodes, -1, dtype=np.int64)
-        done = np.zeros(n_nodes, dtype=bool)
-        dist[source] = 0.0
-        rdist = dist[n : n + m]  # view over right nodes
-        rparent = parent[n : n + m]
-        rdone = done[n : n + m]
-
-        while True:
-            masked = np.where(done, np.inf, dist)
-            u = int(np.argmin(masked))
-            if not np.isfinite(masked[u]):
-                break
-            done[u] = True
-            if u == sink:
-                break
-            du = dist[u]
-            if u == source:
-                nd = du + pot[source] - pot[:n]
-                better = (match_l < 0) & ~done[:n] & (nd < dist[:n])
-                dist[:n][better] = nd[better]
-                parent[:n][better] = source
-            elif u < n:
-                nd = du + w[u] + pot[u] - pot[n : n + m]
-                if match_l[u] >= 0:
-                    nd[match_l[u]] = np.inf  # that edge runs right-to-left only
-                better = ~rdone & (nd < rdist)
-                rdist[better] = nd[better]
-                rparent[better] = u
-            else:
-                j = u - n
-                i0 = int(match_r[j])
-                if i0 >= 0:
-                    nd = du - w[i0, j] + pot[u] - pot[i0]
-                    if not done[i0] and nd < dist[i0]:
-                        dist[i0] = nd
-                        parent[i0] = u
-                else:
-                    nd = du + pot[u] - pot[sink]
-                    if nd < dist[sink]:
-                        dist[sink] = nd
-                        parent[sink] = u
-
-        if not np.isfinite(dist[sink]):
-            raise RuntimeError("no augmenting path; requested matching size is infeasible")
-
-        pot += np.minimum(dist, dist[sink])
-
-        v = int(parent[sink])  # a free right node
-        while v != source:
-            j = v - n
-            i = int(parent[v])
-            prev = int(parent[i])
-            match_l[i] = j
-            match_r[j] = i
-            v = prev
-
-    return match_l
+    lo, hi = float(w.min()), float(w.max())
+    padded = np.empty((n, m + n - r))
+    padded[:, :m] = w
+    padded[:, m:] = lo - max(hi, -lo) - 1.0
+    rows, cols = linear_sum_assignment(padded)
+    real = cols < m
+    return _result(w, list(zip(rows[real], cols[real])), f"A2({r})")
 
 
 @lru_cache(maxsize=None)

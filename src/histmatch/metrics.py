@@ -232,14 +232,3 @@ def weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -
         w = 1.0 - dots
     np.clip(w, 0.0, 1.0, out=w)
     return w
-
-
-def common_support_mask(left: HistogramSet, right: HistogramSet) -> np.ndarray:
-    """Boolean matrix marking the pairs whose supports intersect."""
-    mask = np.zeros((len(left), len(right)), dtype=bool)
-    rpost = _postings(right)
-    for loc, (li, _) in _postings(left).items():
-        hit = rpost.get(loc)
-        if hit is not None:
-            mask[np.ix_(li, hit[0])] = True
-    return mask

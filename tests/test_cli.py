@@ -107,19 +107,6 @@ class TestMatchCommand:
             assert code == 0, err
             assert json.loads(out)["cardinality"] == expect
 
-    def test_prune_flag(self, tmp_path, capsys, synth_files):
-        left, right, _, _ = synth_files
-        code, out, err = run_cli(
-            capsys,
-            "match",
-            "--left", str(left), "--right", str(right),
-            "--metric", "proposed",
-            "--prune",
-            "--out-pairs", str(tmp_path / "pruned.csv"),
-        )
-        assert code == 0, err
-        assert json.loads(out)["cardinality"] == 12
-
     def test_brute_on_small_sets(self, tmp_path, capsys):
         small_left = tmp_path / "sl.csv"
         small_right = tmp_path / "sr.csv"

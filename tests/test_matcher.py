@@ -34,22 +34,20 @@ def point_set(symbols, labeled=False):
 
 
 class TestBuildInstance:
-    def test_dense_edge_count(self, rng):
-        left = random_histogram_set(rng, 2, 5)
-        right = random_histogram_set(rng, 2, 5, labeled=True)
-        inst = build_instance(left, right, MetricKind.PROPOSED, prune=False)
-        assert inst.edge_count == 4
-        assert inst.present is None
-        assert len(inst.edges(0)) == 2
-
-    def test_prune_drops_disjoint_pairs(self):
+    def test_disjoint_slot_is_max_weight(self):
         left = point_set(["A"])
         right = point_set(["B", "A"], labeled=True)
-        inst = build_instance(left, right, MetricKind.PROPOSED, prune=True)
-        assert inst.edge_count == 1
-        assert inst.edges(0) == [(1, 0.0)]
-        # the pruned slot still carries the maximal distance
+        inst = build_instance(left, right, MetricKind.PROPOSED)
         assert inst.weights[0, 0] == MAX_DIVERGENCE_WEIGHT
+        assert inst.weights[0, 1] == 0.0
+
+    def test_all_disjoint_solvable(self):
+        # no left-right pair shares support: every edge sits at the maximal distance
+        left = point_set(["A", "B"])
+        right = point_set(["C", "D"], labeled=True)
+        res = match_min_weight(build_instance(left, right, MetricKind.PROPOSED))
+        assert len(res.pairs) == 2
+        assert res.total_weight == pytest.approx(2 * MAX_DIVERGENCE_WEIGHT, abs=1e-12)
 
     def test_dot_stored_as_distance(self, rng):
         p = H({"A": 0.5, "B": 0.5})
@@ -152,12 +150,22 @@ class TestMatchCardinality:
             match_cardinality(inst, 3)
 
     def test_matches_bruteforce_every_r(self, rng):
+        instances = []
         for _ in range(120):
             n = int(rng.integers(1, 7))
             m = int(rng.integers(1, 7))
             left = random_histogram_set(rng, n, 6)
             right = random_histogram_set(rng, m, 6, labeled=True)
-            inst = build_instance(left, right, MetricKind.PROPOSED)
+            instances.append(build_instance(left, right, MetricKind.PROPOSED))
+        # arbitrary finite weights: negative entries, integer-rounded ties, and
+        # ties at a scale where min(weights) - 1 rounds back to min(weights)
+        for n, m in [(6, 3), (3, 6), (5, 4), (4, 5)] * 20:
+            w = rng.uniform(-3.0, 3.0, size=(n, m))
+            instances.append(instance_from_matrix(w))
+            instances.append(instance_from_matrix(np.round(w)))
+            instances.append(instance_from_matrix(np.round(w) * 2.0**60))
+        for inst in instances:
+            n, m = inst.weights.shape
             for r in range(1, min(n, m) + 1):
                 a2 = match_cardinality(inst, r)
                 oracle = match_bruteforce(inst, r)
@@ -231,31 +239,6 @@ class TestGreedy:
             w = rng.uniform(0, 1, size=(n, m))
             inst = instance_from_matrix(w)
             assert match_greedy(inst).total_weight >= match_bruteforce(inst).total_weight - 1e-12
-
-
-class TestPruning:
-    def test_prune_safe_when_true_pairs_share_support(self, rng):
-        # identical left/right sets: true pairs share support, cross pairs may not
-        for _ in range(20):
-            hset = random_histogram_set(rng, 5, 12, max_support=2)
-            right = HistogramSet(
-                tuple((f"r{i}", h) for i, (_, h) in enumerate(hset.entries)), labeled=True
-            )
-            pruned = build_instance(hset, right, MetricKind.PROPOSED, prune=True)
-            dense = build_instance(hset, right, MetricKind.PROPOSED, prune=False)
-            assert match_min_weight(pruned).total_weight == pytest.approx(
-                match_min_weight(dense).total_weight, abs=1e-12
-            )
-
-    def test_pruned_still_solvable_when_disconnected(self):
-        # no left-right pair shares support: solvers fall back to max-distance edges
-        left = point_set(["A", "B"])
-        right = point_set(["C", "D"], labeled=True)
-        inst = build_instance(left, right, MetricKind.PROPOSED, prune=True)
-        assert inst.edge_count == 0
-        res = match_min_weight(inst)
-        assert len(res.pairs) == 2
-        assert res.total_weight == pytest.approx(2 * MAX_DIVERGENCE_WEIGHT, abs=1e-12)
 
 
 class TestGeneralizedLogLikelihood:
