@@ -5,6 +5,10 @@ replaces every histogram with its cluster centroid, so each released record is
 exactly identical to at least k-1 others.  Cluster quality is scored by the
 l1 distortion between members and their centroid, normalized by the distortion
 of collapsing everything to the grand centroid.
+
+Both steps run on the set packed into CSR rows over its location alphabet, and
+every l1 distance that decides a cluster or enters the loss equals
+``weight_l1``'s, which ``math.fsum`` rounds exactly.
 """
 from __future__ import annotations
 
@@ -14,9 +18,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .core import Histogram, HistogramSet
-from .errors import InvalidKError
+import numpy as np
+from scipy.sparse import csr_array
+
+from .core import Alphabet, Histogram, HistogramSet
+from .errors import InvalidKError, PartitionCoverageError
 from .metrics import weight_l1
+
+# Unit roundoff of float64.
+_U = np.finfo(np.float64).eps / 2
 
 
 @dataclass(frozen=True)
@@ -62,6 +72,34 @@ def _centroid(histograms: Sequence[Histogram]) -> Histogram:
     return Histogram.from_mass({loc: v * inv for loc, v in total.items()})
 
 
+def _mean_row(rows: csr_array, live: np.ndarray) -> np.ndarray:
+    """Dense centroid of the live rows, bit for bit as ``_centroid`` forms it:
+    each column summed in row order from 0.0, then scaled by 1 / count."""
+    entries = np.repeat(live, np.diff(rows.indptr))
+    total = np.bincount(rows.indices[entries], weights=rows.data[entries], minlength=rows.shape[1])
+    return total * (1.0 / np.count_nonzero(live))
+
+
+def _l1_to(rows: csr_array, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """l1 distance of every row to the dense vector ``v`` in O(nnz + M), and a
+    bound on its distance from ``weight_l1``'s value.
+
+    A row x with support s gets sum_s |x - v| + (sum v - sum_s v).  Every sum
+    has at most n = M + max|s| nonnegative terms, so it lies within
+    g(n) = n u / (1 - n u) of its magnitude, and the magnitudes are at most
+    |x| + S, S and S, with |x| < 2 and S = sum v.  The two roundings that
+    combine them, and the one ``math.fsum`` makes, add under 5 u (2 + 4 S).
+    The bound returned is g(n + 5) (2 + 4 S).
+    """
+    starts = rows.indptr[:-1]
+    at = v[rows.indices]
+    total = float(v.sum())
+    d = np.add.reduceat(np.abs(rows.data - at), starts) + (total - np.add.reduceat(at, starts))
+    np.clip(d, 0.0, 2.0, out=d)
+    n = v.size + int(np.diff(rows.indptr).max()) + 5
+    return d, n * _U / (1.0 - n * _U) * (2.0 + 4.0 * total)
+
+
 def microaggregate(histograms: HistogramSet, k: int) -> tuple[ClusterPartition, HistogramSet]:
     """Partition owners into clusters of size >= k and release the centroids.
 
@@ -69,23 +107,49 @@ def microaggregate(histograms: HistogramSet, k: int) -> tuple[ClusterPartition, 
     centroid of the remaining records, group it with its k-1 nearest
     neighbours, and once fewer than 2k records remain they form the final
     cluster.  Every cluster size lies in [k, 2k-1].
+
+    Each step costs one vectorized l1 pass per choice over the packed rows.
+    Records within twice ``_l1_to``'s error bound of the farthest, or of the
+    (k-1)-th nearest, are compared again with ``weight_l1``; ties go to the
+    lowest index.  The partition is therefore the one exact distances give.
     """
     n = len(histograms)
     if not 1 <= k <= n:
         raise InvalidKError(f"k={k} outside 1..{n}")
     hists = histograms.histograms
-    remaining = list(range(n))
+    alphabet = Alphabet.from_histogram_sets(histograms)
+    rows = alphabet.pack(histograms)
+    alive = np.ones(n, dtype=bool)
     clusters: list[tuple[int, ...]] = []
-    while len(remaining) >= 2 * k:
-        center = _centroid([hists[i] for i in remaining])
-        far_pos = max(range(len(remaining)), key=lambda pos: weight_l1(hists[remaining[pos]], center))
-        anchor = remaining.pop(far_pos)
-        by_distance = sorted(range(len(remaining)), key=lambda pos: weight_l1(hists[remaining[pos]], hists[anchor]))
-        chosen = sorted(by_distance[: k - 1], reverse=True)
-        members = [anchor] + [remaining.pop(pos) for pos in chosen]
+    while (remaining := np.flatnonzero(alive)).size >= 2 * k:
+        center = _mean_row(rows, alive)
+        d, tol = _l1_to(rows, center)
+        d = d[remaining]
+        top = remaining[d >= d.max() - 2.0 * tol]
+        anchor = int(top[0])
+        if top.size > 1:
+            nz = np.flatnonzero(center)
+            center_mass = dict(zip([alphabet.symbols[j] for j in nz.tolist()], center[nz].tolist()))
+            exact = [weight_l1(hists[i], center_mass) for i in top.tolist()]
+            anchor = int(top[exact.index(max(exact))])
+        alive[anchor] = False
+        members = [anchor]
+        if k > 1:
+            others = remaining[remaining != anchor]
+            lo, hi = rows.indptr[anchor], rows.indptr[anchor + 1]
+            v = np.zeros(alphabet.size)
+            v[rows.indices[lo:hi]] = rows.data[lo:hi]
+            d, tol = _l1_to(rows, v)
+            d = d[others]
+            near = others[d <= np.partition(d, k - 2)[k - 2] + 2.0 * tol]
+            if near.size > k - 1:
+                exact = [weight_l1(hists[i], hists[anchor]) for i in near.tolist()]
+                near = near[sorted(range(near.size), key=exact.__getitem__)[: k - 1]]
+            alive[near] = False
+            members.extend(near.tolist())
         clusters.append(tuple(sorted(members)))
-    if remaining:
-        clusters.append(tuple(remaining))
+    if remaining.size:
+        clusters.append(tuple(remaining.tolist()))
 
     centroids = tuple(_centroid([hists[i] for i in cluster]) for cluster in clusters)
     centroid_by_index: dict[int, Histogram] = {}
@@ -104,6 +168,35 @@ def microaggregate(histograms: HistogramSet, k: int) -> tuple[ClusterPartition, 
     return partition, released
 
 
+def _exact_sum(values: list[float]) -> list[float]:
+    """A few floats whose exact sum is the exact sum of ``values``."""
+    parts: list[float] = []
+    while (rest := math.fsum(values + [-p for p in parts])) != 0.0:
+        parts.append(rest)
+    return parts
+
+
+def _exact_l1(rows: csr_array, centers: csr_array, center_of: np.ndarray) -> list[float]:
+    """``weight_l1`` of row i against row ``center_of[i]`` of ``centers``, bit
+    for bit, in O(nnz) plus one pass over ``centers``.
+
+    With c the center and s the row's support, the sum
+    sum_s |x - c| + sum c - sum_s c is in exact arithmetic the sum that
+    ``weight_l1`` hands to ``math.fsum``, and fsum rounds the two alike; sum c
+    enters as the few floats ``_exact_sum`` returns.
+    """
+    at = np.asarray(centers[np.repeat(center_of, np.diff(rows.indptr)), rows.indices], dtype=np.float64)
+    terms = np.empty(2 * at.size)
+    terms[0::2] = np.abs(rows.data - at)
+    terms[1::2] = -at
+    ptr = (2 * rows.indptr).tolist()
+    totals = [_exact_sum(centers.data[a:b].tolist()) for a, b in zip(centers.indptr, centers.indptr[1:])]
+    return [
+        min(max(0.0, math.fsum(terms[a:b].tolist() + totals[q])), 2.0)
+        for a, b, q in zip(ptr, ptr[1:], center_of.tolist())
+    ]
+
+
 def information_loss(partition: ClusterPartition, histograms: HistogramSet) -> float:
     """Normalized information loss of a partitioning, in [0, 1].
 
@@ -113,14 +206,14 @@ def information_loss(partition: ClusterPartition, histograms: HistogramSet) -> f
     the result is 0 by convention.
     """
     if partition.owners() != set(histograms.owners):
-        raise ValueError("partition does not cover the histogram set's owners")
-    numerator = math.fsum(
-        weight_l1(histograms.histogram(owner), centroid)
-        for cluster, centroid in zip(partition.clusters, partition.centroids)
-        for owner in cluster
-    )
-    grand = _centroid(list(histograms.histograms))
-    denominator = math.fsum(weight_l1(h, grand) for h in histograms.histograms)
+        raise PartitionCoverageError("partition does not cover the histogram set's owners")
+    centroids = HistogramSet(tuple((str(q), c) for q, c in enumerate(partition.centroids)), labeled=False)
+    alphabet = Alphabet.from_histogram_sets(histograms, centroids)
+    rows = alphabet.pack(histograms)
+    cluster_of = np.array([partition.cluster_of[owner] for owner in histograms.owners])
+    numerator = math.fsum(_exact_l1(rows, alphabet.pack(centroids), cluster_of))
+    grand = csr_array(_mean_row(rows, np.ones(len(histograms), dtype=bool))[None, :])
+    denominator = math.fsum(_exact_l1(rows, grand, np.zeros(len(histograms), dtype=np.intp)))
     if denominator == 0.0:
         return 0.0
     return numerator / denominator

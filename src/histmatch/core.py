@@ -1,8 +1,9 @@
 """Domain types and dataset transforms.
 
 Histograms are stored sparsely (location id -> probability); the location
-alphabet is implicit and absent ids carry probability zero.  All types are
-immutable after construction and all operations are pure functions.
+alphabet is implicit and absent ids carry probability zero.  Bulk kernels pack
+a histogram set into CSR rows over an explicit :class:`Alphabet`.  All types
+are immutable after construction and all operations are pure functions.
 """
 from __future__ import annotations
 
@@ -10,7 +11,11 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping
+
+import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import (
     EmptyStringError,
@@ -44,12 +49,8 @@ class Alphabet:
     @classmethod
     def from_histogram_sets(cls, *sets: "HistogramSet") -> "Alphabet":
         """Union of the locations observed in any of the given sets."""
-        seen: dict[str, None] = {}
-        for hset in sets:
-            for _, hist in hset.entries:
-                for loc in hist.mass:
-                    seen.setdefault(loc)
-        return cls(tuple(seen))
+        locs = chain.from_iterable(h.mass for hset in sets for h in hset.histograms)
+        return cls(tuple(dict.fromkeys(locs)))
 
     @property
     def size(self) -> int:
@@ -64,6 +65,23 @@ class Alphabet:
 
     def index(self, symbol: str) -> int:
         return self._index[symbol]
+
+    def pack(self, hset: "HistogramSet") -> csr_array:
+        """One CSR row per histogram of the set, in set order, over this
+        alphabet's columns, with each row's columns ascending."""
+        hists = hset.histograms
+        lengths = [h.support_count for h in hists]
+        nnz = sum(lengths)
+        # The index width scipy would pick, so that its constructor copies nothing.
+        index_dtype = np.int32 if max(nnz, self.size) < 2**31 else np.int64
+        indptr = np.zeros(len(hists) + 1, dtype=index_dtype)
+        np.cumsum(lengths, out=indptr[1:])
+        locs = chain.from_iterable(h.mass for h in hists)
+        indices = np.fromiter(map(self._index.__getitem__, locs), dtype=index_dtype, count=nnz)
+        data = np.fromiter(chain.from_iterable(h.mass.values() for h in hists), dtype=np.float64, count=nnz)
+        rows = csr_array((data, indices, indptr), shape=(len(hists), self.size))
+        rows.sort_indices()
+        return rows
 
 
 @dataclass(frozen=True)

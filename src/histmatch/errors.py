@@ -51,3 +51,7 @@ class ConfigError(HistmatchError):
 
 class FileFormatError(HistmatchError):
     """An input file does not follow the documented format."""
+
+
+class PartitionCoverageError(HistmatchError, ValueError):
+    """A cluster partition does not cover the owners of the histogram set it scores."""

@@ -37,7 +37,7 @@ from .core import (
     split_by_period,
     suppress_and_renormalize,
 )
-from .errors import ConfigError, ZeroMassAfterSuppressionError
+from .errors import ConfigError, PartitionCoverageError, ZeroMassAfterSuppressionError
 from .matcher import BipartiteInstance, MatchResult, build_instance, match_cardinality, match_min_weight
 from .metrics import MetricKind
 from .synth import GENERATOR_NAME, OverlapSpec, PopulationSpec, generate_pair, location_ids, sample_population, seeded_generator
@@ -110,7 +110,7 @@ def cluster_level_accuracy(
             continue
         matched_left = left.owners[i]
         if matched_left not in centroid_key_of or true_left not in centroid_key_of:
-            raise ValueError("partition does not cover the left set")
+            raise PartitionCoverageError("partition does not cover the left set")
         if centroid_key_of[matched_left] == centroid_key_of[true_left]:
             correct += 1
     return 100.0 * correct / len(truth)

@@ -1,8 +1,13 @@
 import itertools
 import math
+import tracemalloc
+from collections import defaultdict
+from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from histmatch.anonymize import (
     ClusterPartition,
@@ -10,9 +15,10 @@ from histmatch.anonymize import (
     microaggregate,
     verify_k_anonymity,
 )
-from histmatch.core import Histogram, HistogramSet
-from histmatch.errors import InvalidKError
+from histmatch.core import Histogram, HistogramSet, build_histogram
+from histmatch.errors import HistmatchError, InvalidKError, PartitionCoverageError
 from histmatch.metrics import weight_l1
+from histmatch.synth import OverlapSpec, PopulationSpec, generate_pair, sample_population
 from tests.conftest import random_histogram_set
 
 H = Histogram.from_mass
@@ -22,6 +28,129 @@ def hist_set(masses, labeled=False):
     return HistogramSet(
         tuple((f"u{i}", H(m)) for i, m in enumerate(masses)), labeled=labeled
     )
+
+
+# Reference implementation: the dict-walking micro-aggregation and loss that
+# the packed-row code replaced, kept verbatim.  The new code must reproduce
+# its partitions, released centroids and loss bit for bit.
+
+
+def _oracle_centroid(histograms: Sequence[Histogram]) -> Histogram:
+    if len(histograms) == 1:
+        return histograms[0]
+    total: dict[str, float] = defaultdict(float)
+    for h in histograms:
+        for loc, p in h.mass.items():
+            total[loc] += p
+    inv = 1.0 / len(histograms)
+    return Histogram.from_mass({loc: v * inv for loc, v in total.items()})
+
+
+def _oracle_microaggregate(histograms: HistogramSet, k: int) -> tuple[ClusterPartition, HistogramSet]:
+    n = len(histograms)
+    if not 1 <= k <= n:
+        raise InvalidKError(f"k={k} outside 1..{n}")
+    hists = histograms.histograms
+    remaining = list(range(n))
+    clusters: list[tuple[int, ...]] = []
+    while len(remaining) >= 2 * k:
+        center = _oracle_centroid([hists[i] for i in remaining])
+        far_pos = max(range(len(remaining)), key=lambda pos: weight_l1(hists[remaining[pos]], center))
+        anchor = remaining.pop(far_pos)
+        by_distance = sorted(range(len(remaining)), key=lambda pos: weight_l1(hists[remaining[pos]], hists[anchor]))
+        chosen = sorted(by_distance[: k - 1], reverse=True)
+        members = [anchor] + [remaining.pop(pos) for pos in chosen]
+        clusters.append(tuple(sorted(members)))
+    if remaining:
+        clusters.append(tuple(remaining))
+
+    centroids = tuple(_oracle_centroid([hists[i] for i in cluster]) for cluster in clusters)
+    centroid_by_index: dict[int, Histogram] = {}
+    for cluster, centroid in zip(clusters, centroids):
+        for i in cluster:
+            centroid_by_index[i] = centroid
+    released = HistogramSet(
+        entries=tuple((owner, centroid_by_index[i]) for i, (owner, _) in enumerate(histograms.entries)),
+        labeled=histograms.labeled,
+    )
+    owners = histograms.owners
+    partition = ClusterPartition(
+        clusters=tuple(tuple(owners[i] for i in cluster) for cluster in clusters),
+        centroids=centroids,
+    )
+    return partition, released
+
+
+def _oracle_information_loss(partition: ClusterPartition, histograms: HistogramSet) -> float:
+    if partition.owners() != set(histograms.owners):
+        raise ValueError("partition does not cover the histogram set's owners")
+    numerator = math.fsum(
+        weight_l1(histograms.histogram(owner), centroid)
+        for cluster, centroid in zip(partition.clusters, partition.centroids)
+        for owner in cluster
+    )
+    grand = _oracle_centroid(list(histograms.histograms))
+    denominator = math.fsum(weight_l1(h, grand) for h in histograms.histograms)
+    if denominator == 0.0:
+        return 0.0
+    return numerator / denominator
+
+
+def assert_matches_oracle(hset, k):
+    partition, released = microaggregate(hset, k)
+    expected_partition, expected_released = _oracle_microaggregate(hset, k)
+    assert partition == expected_partition
+    assert released.entries == expected_released.entries
+    for (_, got), (_, want) in zip(released.entries, expected_released.entries):
+        assert list(got.mass.items()) == list(want.mass.items())
+    assert information_loss(partition, hset) == _oracle_information_loss(expected_partition, hset)
+
+
+def synthetic_set(n, alphabet_size, t, seed, concentration=1.0):
+    population = sample_population(PopulationSpec(n, alphabet_size, concentration, seed))
+    left, _, _ = generate_pair(population, t, t, OverlapSpec.full(n), seed)
+    return left
+
+
+class TestMatchesOracle:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_benchmark_shape(self, seed):
+        # Masses are multiples of 1/200, so exact l1 ties are common here.
+        assert_matches_oracle(synthetic_set(200, 1000, 200, seed), 5)
+
+    @pytest.mark.parametrize("t, alphabet_size", [(5, 20), (5, 50), (10, 20), (10, 50)])
+    def test_tie_heavy(self, t, alphabet_size):
+        for seed in range(3):
+            hset = synthetic_set(60, alphabet_size, t, seed)
+            for k in (2, 3, 4):
+                assert_matches_oracle(hset, k)
+
+    def test_duplicated_histograms(self, rng):
+        distinct = random_histogram_set(rng, 4, 10)
+        hset = HistogramSet(
+            tuple((f"u{i}", distinct.histograms[i % 4]) for i in range(14)), labeled=False
+        )
+        for k in (1, 2, 3, 5, 7, 14):
+            assert_matches_oracle(hset, k)
+
+    def test_extreme_k(self, rng):
+        hset = synthetic_set(30, 100, 50, 4)
+        for k in (1, 2, len(hset)):
+            assert_matches_oracle(hset, k)
+        for k in (3, 5):
+            for n in range(k, 2 * k):
+                assert_matches_oracle(random_histogram_set(rng, n, 8), k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from("ABCDEF"), min_size=1, max_size=6), min_size=1, max_size=12),
+        st.data(),
+    )
+    def test_property_small_count_sets(self, sequences, data):
+        hset = HistogramSet(
+            tuple((f"u{i}", build_histogram(seq)) for i, seq in enumerate(sequences)), labeled=False
+        )
+        assert_matches_oracle(hset, data.draw(st.integers(1, len(hset))))
 
 
 class TestMicroaggregate:
@@ -98,6 +227,24 @@ class TestMicroaggregate:
         with pytest.raises(InvalidKError):
             microaggregate(hset, 6)
 
+    def test_memory_below_dense_matrix(self, rng):
+        # 300 owners, each on 4 private locations and 4 of 10 shared ones:
+        # a dense N x M array over the 1210 locations would take 2.9 MB.
+        n = 300
+
+        def owner(i):
+            locs = [f"L{4 * i + j}" for j in range(4)] + [f"S{j}" for j in rng.choice(10, 4, replace=False)]
+            return f"u{i}", H(dict(zip(locs, rng.dirichlet(np.ones(8)))))
+
+        hset = HistogramSet(tuple(owner(i) for i in range(n)), labeled=False)
+        tracemalloc.start()
+        try:
+            microaggregate(hset, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * (4 * n + 10) * 8 / 4
+
     def test_centroid_mass_sums_to_one(self, rng):
         for _ in range(10):
             hset = random_histogram_set(rng, 12, 10)
@@ -163,6 +310,15 @@ class TestInformationLoss:
         )
         with pytest.raises(ValueError):
             information_loss(partition, hset)
+
+    def test_coverage_error_is_typed(self, rng):
+        hset = random_histogram_set(rng, 4, 6)
+        partition = ClusterPartition(
+            clusters=(("o000", "o001"),), centroids=(hset.histograms[0],)
+        )
+        with pytest.raises(PartitionCoverageError) as caught:
+            information_loss(partition, hset)
+        assert isinstance(caught.value, HistmatchError)
 
     def test_mean_loss_nondecreasing_in_k(self, rng):
         ks = [1, 2, 3, 5, 10]

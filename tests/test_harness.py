@@ -3,7 +3,7 @@ import pytest
 
 from histmatch.anonymize import ClusterPartition, microaggregate
 from histmatch.core import GroundTruth, Histogram, HistogramSet
-from histmatch.errors import ConfigError
+from histmatch.errors import ConfigError, PartitionCoverageError
 from histmatch.harness import (
     AccuracyReport,
     ExperimentConfig,
@@ -116,6 +116,12 @@ class TestClusterLevelAccuracy:
         left, right, _ = point_sets(2)
         partition = ClusterPartition(clusters=(("x0", "x1"),), centroids=(H({"A": 1.0}),))
         assert cluster_level_accuracy(result_for({0: 0}), GroundTruth({}), partition, left, right) is None
+
+    def test_uncovered_owner_is_typed_error(self):
+        left, right, truth = point_sets(3)
+        partition = ClusterPartition(clusters=(("x0", "x1"),), centroids=(H({"A": 1.0}),))
+        with pytest.raises(PartitionCoverageError):
+            cluster_level_accuracy(result_for({0: 0, 1: 1, 2: 2}), truth, partition, left, right)
 
 
 class TestBootstrap:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from histmatch.anonymize import microaggregate
 from histmatch.core import Histogram
 from histmatch.errors import AbsoluteContinuityError
 from histmatch.metrics import (
@@ -17,6 +18,7 @@ from histmatch.metrics import (
     weight_matrix,
     weight_proposed,
 )
+from histmatch.synth import OverlapSpec, PopulationSpec, generate_pair, sample_population
 from tests.conftest import random_histogram, random_histogram_set
 
 H = Histogram.from_mass
@@ -214,3 +216,37 @@ class TestWeightMatrix:
             ]
         )
         assert np.abs(w - probe).max() < 1e-9
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_dense_centroid_release_matches_pairwise(self, metric):
+        population = sample_population(PopulationSpec(30, 80, 1.0, 5))
+        left, right, _ = generate_pair(population, 100, 100, OverlapSpec.full(30), 5)
+        _, released = microaggregate(left, 5)
+        w = weight_matrix(released, right, metric)
+        probe = np.array(
+            [[pair_distance(metric, p, q) for q in right.histograms] for p in released.histograms]
+        )
+        assert np.abs(w - probe).max() < 1e-9
+
+    def test_dot_and_cosine_sum_in_location_order(self, rng):
+        # The sparse product adds each pair's terms in the order the left set
+        # first uses its locations, as the inverted-index loop it replaced
+        # did; A1's choice among tied assignments depends on the last bit.
+        population = sample_population(PopulationSpec(30, 80, 1.0, 6))
+        left, right, _ = generate_pair(population, 100, 100, OverlapSpec.full(30), 6)
+        cases = [(microaggregate(left, 5)[1], right)]
+        cases += [(random_histogram_set(rng, 9, 12, max_support=8), random_histogram_set(rng, 7, 12, True, 8))]
+        for lset, rset in cases:
+            dots = np.zeros((len(lset), len(rset)))
+            index = {o: j for j, o in enumerate(rset.owners)}
+            for loc in dict.fromkeys(loc for h in lset.histograms for loc in h.mass):
+                for i, p in enumerate(lset.histograms):
+                    for o, q in rset.entries:
+                        if loc in p.mass and loc in q.mass:
+                            dots[i, index[o]] += p.mass[loc] * q.mass[loc]
+            norms = np.outer(
+                [math.sqrt(math.fsum(v * v for v in h.mass.values())) for h in lset.histograms],
+                [math.sqrt(math.fsum(v * v for v in h.mass.values())) for h in rset.histograms],
+            )
+            assert np.array_equal(weight_matrix(lset, rset, MetricKind.DOT), np.clip(1.0 - dots, 0.0, 1.0))
+            assert np.array_equal(weight_matrix(lset, rset, MetricKind.COSINE), np.clip(1.0 - dots / norms, 0.0, 1.0))
