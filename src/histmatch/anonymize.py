@@ -109,9 +109,10 @@ def microaggregate(histograms: HistogramSet, k: int) -> tuple[ClusterPartition, 
     cluster.  Every cluster size lies in [k, 2k-1].
 
     Each step costs one vectorized l1 pass per choice over the packed rows.
-    Records within twice ``_l1_to``'s error bound of the farthest, or of the
-    (k-1)-th nearest, are compared again with ``weight_l1``; ties go to the
-    lowest index.  The partition is therefore the one exact distances give.
+    Records within twice ``_l1_to``'s error bound of the farthest are compared
+    again with ``_exact_l1``, in O(nnz + M) however many tie; those within it
+    of the (k-1)-th nearest, with ``weight_l1``.  Ties go to the lowest index.
+    The partition is therefore the one exact distances give.
     """
     n = len(histograms)
     if not 1 <= k <= n:
@@ -128,9 +129,7 @@ def microaggregate(histograms: HistogramSet, k: int) -> tuple[ClusterPartition, 
         top = remaining[d >= d.max() - 2.0 * tol]
         anchor = int(top[0])
         if top.size > 1:
-            nz = np.flatnonzero(center)
-            center_mass = dict(zip([alphabet.symbols[j] for j in nz.tolist()], center[nz].tolist()))
-            exact = [weight_l1(hists[i], center_mass) for i in top.tolist()]
+            exact = _exact_l1(rows[top], csr_array(center[None, :]), np.zeros(top.size, dtype=np.intp))
             anchor = int(top[exact.index(max(exact))])
         alive[anchor] = False
         members = [anchor]

@@ -19,6 +19,7 @@ import csv
 import json
 import math
 from pathlib import Path
+from typing import Iterator
 
 from .anonymize import ClusterPartition
 from .core import (
@@ -41,7 +42,9 @@ MATCH_HEADER = ["left_owner", "right_owner", "weight"]
 HISTOGRAM_SUM_ATOL = 1e-6
 
 
-def _read_rows(path: str | Path, expected_header: list[str]) -> list[list[str]]:
+def _read_rows(path: str | Path, expected_header: list[str]) -> Iterator[list[str]]:
+    """Yield the non-empty rows after a checked header, one at a time, so a
+    reader holds only what it keeps of the file."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -50,7 +53,7 @@ def _read_rows(path: str | Path, expected_header: list[str]) -> list[list[str]]:
             raise FileFormatError(f"{path}: empty file, expected header {expected_header}") from None
         if [h.strip() for h in header] != expected_header:
             raise FileFormatError(f"{path}: header {header!r} does not match {expected_header}")
-        return [row for row in reader if row]
+        yield from filter(None, reader)
 
 
 def read_event_log(path: str | Path) -> EventLog:
@@ -83,14 +86,19 @@ def read_aggregation_table(path: str | Path) -> dict[str, str]:
 
 def read_histogram_set(path: str | Path, labeled: bool) -> HistogramSet:
     by_owner: dict[str, dict[str, float]] = {}
+    # One string object per distinct location, shared by every owner's keys:
+    # a set then keeps about half of what one string per row would cost.
+    symbols: dict[str, str] = {}
     for lineno, row in enumerate(_read_rows(path, HISTOGRAM_HEADER), start=2):
         if len(row) != 3:
             raise FileFormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-        owner, location, prob_text = (c.strip() for c in row)
+        owner, location, prob_text = row
+        owner, location = owner.strip(), location.strip()
+        location = symbols.setdefault(location, location)
         try:
             prob = float(prob_text)
         except ValueError:
-            raise FileFormatError(f"{path}:{lineno}: probability {prob_text!r} is not a number") from None
+            raise FileFormatError(f"{path}:{lineno}: probability {prob_text.strip()!r} is not a number") from None
         if not math.isfinite(prob) or prob <= 0.0:
             raise FileFormatError(f"{path}:{lineno}: probability must be finite and positive")
         mass = by_owner.setdefault(owner, {})
@@ -107,7 +115,8 @@ def read_histogram_set(path: str | Path, labeled: bool) -> HistogramSet:
             )
         if abs(total - 1.0) > MASS_ATOL:
             mass = {loc: p / total for loc, p in mass.items()}
-        entries.append((owner, Histogram.from_mass(mass)))
+        # ``mass`` is built here and shared with nothing, so it is not copied.
+        entries.append((owner, Histogram(mass=mass, support_count=len(mass))))
     return HistogramSet(entries=tuple(entries), labeled=labeled)
 
 

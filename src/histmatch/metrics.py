@@ -6,19 +6,21 @@ similarity.  Logarithms are natural throughout, so divergence values are in
 nats and the divergence weight lies in [0, 2 ln 2].
 
 Pairwise functions accept either :class:`~histmatch.core.Histogram` objects or
-plain ``{location: probability}`` mappings.  ``weight_matrix`` evaluates a
+plain ``{location: probability}`` mappings.  ``weight_matrix`` packs the two
+sets once over one shared :class:`~histmatch.core.Alphabet` and evaluates a
 whole set-against-set weight matrix in time proportional to the co-occurring
-support instead of N * N' * M: the divergence and l1 weights through an
-inverted index over locations, the dot and cosine weights as one sparse
-product of the two sets packed over a shared alphabet.
+support instead of N * N' * M: the dot and cosine weights as one sparse
+product of the packed rows, the divergence and l1 weights by a walk over the
+columns both sets use.
 """
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .core import Alphabet, Histogram, HistogramSet
 from .errors import AbsoluteContinuityError
@@ -165,20 +167,15 @@ def pair_distance(kind: MetricKind, p, q) -> float:
     return 1.0 - value if kind.is_similarity else value
 
 
-def _postings(hset: HistogramSet) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Inverted index: location -> (indices of histograms with mass there, masses)."""
-    by_loc: dict[str, tuple[list[int], list[float]]] = {}
-    for idx, (_, hist) in enumerate(hset.entries):
-        for loc, pl in hist.mass.items():
-            if pl <= 0.0:
-                continue
-            bucket = by_loc.setdefault(loc, ([], []))
-            bucket[0].append(idx)
-            bucket[1].append(pl)
-    return {
-        loc: (np.asarray(ix, dtype=np.int64), np.asarray(ps, dtype=np.float64))
-        for loc, (ix, ps) in by_loc.items()
-    }
+def _shared_columns(left: csr_array, right: csr_array) -> Iterator[tuple[np.ndarray, ...]]:
+    """For each column both packed sets use, in column order: the rows of
+    each side with mass there, ascending, and those masses."""
+    lcols, rcols = left.tocsc(), right.tocsc()
+    lptr, rptr = lcols.indptr.tolist(), rcols.indptr.tolist()
+    for c in range(left.shape[1]):
+        la, lb, ra, rb = lptr[c], lptr[c + 1], rptr[c], rptr[c + 1]
+        if la < lb and ra < rb:
+            yield lcols.indices[la:lb], lcols.data[la:lb], rcols.indices[ra:rb], rcols.data[ra:rb]
 
 
 def weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -> np.ndarray:
@@ -186,12 +183,14 @@ def weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -
 
     Numerically equivalent to calling ``pair_distance`` on every pair.
     """
+    # Every weight adds each pair's terms in column order, the order in which
+    # the left set first uses each location.  A1 picks among tied assignments
+    # by the last bit, so this order is kept fixed.
+    alphabet = Alphabet.from_histogram_sets(left, right)
+    lrows = alphabet.pack(left)
+    rrows = alphabet.pack(right)
     if metric in (MetricKind.COSINE, MetricKind.DOT):
-        # Each pair's products are added in column order, the order in which
-        # the left set first uses each location.  A1 picks among tied
-        # assignments by the last bit, so this order is kept fixed.
-        alphabet = Alphabet.from_histogram_sets(left, right)
-        dots = (alphabet.pack(left) @ alphabet.pack(right).T).toarray()
+        dots = (lrows @ rrows.T).toarray()
         if metric is MetricKind.COSINE:
             lnorm = np.array([_l2_norm(h.mass) for h in left.histograms])
             rnorm = np.array([_l2_norm(h.mass) for h in right.histograms])
@@ -201,18 +200,12 @@ def weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -
         np.clip(w, 0.0, 1.0, out=w)
         return w
 
-    lpost = _postings(left)
-    rpost = _postings(right)
     lsums = np.array([math.fsum(h.mass.values()) for h in left.histograms])
     rsums = np.array([math.fsum(h.mass.values()) for h in right.histograms])
 
     if metric is MetricKind.PROPOSED:
         w = LN2 * np.add.outer(lsums, rsums)
-        for loc, (li, lp) in lpost.items():
-            hit = rpost.get(loc)
-            if hit is None:
-                continue
-            rj, rp = hit
+        for li, lp, rj, rp in _shared_columns(lrows, rrows):
             ps = lp[:, None]
             qs = rp[None, :]
             s = ps + qs
@@ -222,11 +215,7 @@ def weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -
 
     if metric is MetricKind.L1:
         w = np.add.outer(lsums, rsums)
-        for loc, (li, lp) in lpost.items():
-            hit = rpost.get(loc)
-            if hit is None:
-                continue
-            rj, rp = hit
+        for li, lp, rj, rp in _shared_columns(lrows, rrows):
             w[np.ix_(li, rj)] -= 2.0 * np.minimum(lp[:, None], rp[None, :])
         np.clip(w, 0.0, 2.0, out=w)
         return w

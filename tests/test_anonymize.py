@@ -141,6 +141,12 @@ class TestMatchesOracle:
             for n in range(k, 2 * k):
                 assert_matches_oracle(random_histogram_set(rng, n, 8), k)
 
+    def test_disjoint_supports(self):
+        # Every record is equally far from the centroid and from the anchor,
+        # so each step settles a tie among all remaining records.
+        hset = hist_set([{f"L{8 * i + j}": 0.125 for j in range(8)} for i in range(40)])
+        assert_matches_oracle(hset, 2)
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.lists(st.sampled_from("ABCDEF"), min_size=1, max_size=6), min_size=1, max_size=12),

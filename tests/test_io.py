@@ -1,5 +1,8 @@
 import json
+import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from histmatch import io as hio
@@ -95,6 +98,77 @@ class TestHistogramSet:
         path.write_text("owner,location,probability\nu1,a,0.0\nu1,b,1.0\n")
         with pytest.raises(FileFormatError):
             hio.read_histogram_set(path, labeled=False)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("u1,b", ":3: expected 3 columns, got 2"),
+            ("u1,b,0.5,x", ":3: expected 3 columns, got 4"),
+            ("u1,b,half", ":3: probability 'half' is not a number"),
+            ("u1,b,nan", ":3: probability must be finite and positive"),
+            ("u1,b,inf", ":3: probability must be finite and positive"),
+        ],
+    )
+    def test_error_names_line(self, tmp_path, row, message):
+        path = tmp_path / "h.csv"
+        path.write_text(f"owner,location,probability\nu1,a,0.5\n{row}\n")
+        with pytest.raises(FileFormatError, match="^" + re.escape(f"{path}{message}")):
+            hio.read_histogram_set(path, labeled=False)
+
+    def test_line_numbers_skip_blank_lines(self, tmp_path):
+        # Blank lines are dropped before rows are numbered, so a row after
+        # one is numbered by its count of non-empty rows, not its physical line.
+        path = tmp_path / "h.csv"
+        path.write_text("owner,location,probability\nu1,a,0.5\n\n\nu1,b,oops\n")
+        with pytest.raises(FileFormatError, match="^" + re.escape(f"{path}:3: probability 'oops'")):
+            hio.read_histogram_set(path, labeled=False)
+
+    def test_ungrouped_owner_rows_merge(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("owner,location,probability\nu1,a,0.25\nu2,c,1.0\nu1,b,0.75\n")
+        loaded = hio.read_histogram_set(path, labeled=True)
+        assert loaded.owners == ("u1", "u2")
+        assert list(loaded.histogram("u1").mass.items()) == [("a", 0.25), ("b", 0.75)]
+        assert loaded.histogram("u2").mass == {"c": 1.0}
+
+    def test_owners_share_location_strings(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("owner,location,probability\nu1,cell-17,0.5\nu1,cell-4,0.5\nu2,cell-17,1.0\n")
+        loaded = hio.read_histogram_set(path, labeled=False)
+        assert next(iter(loaded.histogram("u1").mass)) is next(iter(loaded.histogram("u2").mass))
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("")
+        with pytest.raises(FileFormatError, match="empty file"):
+            hio.read_histogram_set(path, labeled=False)
+
+    def test_header_only_is_empty_set(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("owner,location,probability\n")
+        assert hio.read_histogram_set(path, labeled=False).entries == ()
+
+    def test_peak_memory_near_result_size(self, tmp_path, rng):
+        # 60 owners x 80 locations: 4800 rows.  Holding every parsed row at
+        # once would put the peak near three times the set returned.
+        hset = HistogramSet(
+            tuple(
+                (f"o{i:03d}", H({f"L{j}": float(p) for j, p in enumerate(row)}))
+                for i, row in enumerate(rng.dirichlet(np.ones(80), size=60))
+            ),
+            labeled=False,
+        )
+        path = tmp_path / "h.csv"
+        hio.write_histogram_set(hset, path)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loaded = hio.read_histogram_set(path, labeled=False)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded == hset
+        assert peak - base < 1.5 * (current - base)
 
 
 class TestTruth:
