@@ -22,6 +22,7 @@ from .core import (
     aggregate_locations,
     filter_active_users,
     histograms_by_user,
+    parse_latlon,
     quantize_geo,
     split_by_period,
 )
@@ -51,10 +52,10 @@ class _Parser(argparse.ArgumentParser):
 def _cmd_ingest(args) -> int:
     log = hio.read_event_log(args.events)
     if args.geo_grid is not None:
-        origin = _parse_latlon(args.geo_origin)
+        origin = parse_latlon(args.geo_origin)
         records = []
         for rec in log.records:
-            lat, lon = _parse_latlon(rec.location)
+            lat, lon = parse_latlon(rec.location)
             key = quantize_geo(lat, lon, args.geo_grid, origin)
             records.append(rec.__class__(user=rec.user, timestamp=rec.timestamp, location=key))
         log = log.__class__(records=tuple(records))
@@ -79,16 +80,6 @@ def _cmd_ingest(args) -> int:
         "right": args.out_right,
     }))
     return 0
-
-
-def _parse_latlon(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise HistmatchError(f"expected 'lat,lon', got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise HistmatchError(f"expected numeric 'lat,lon', got {text!r}") from None
 
 
 def _cmd_match(args) -> int:

@@ -19,6 +19,7 @@ from scipy.sparse import csr_array
 
 from .errors import (
     EmptyStringError,
+    HistmatchError,
     InvalidCoordinateError,
     ZeroMassAfterSuppressionError,
 )
@@ -60,9 +61,6 @@ class Alphabet:
     def _index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.symbols)}
 
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self._index
-
     def index(self, symbol: str) -> int:
         return self._index[symbol]
 
@@ -103,10 +101,6 @@ class EventLog:
 
     records: tuple[EventRecord, ...]
 
-    @classmethod
-    def from_records(cls, records: Iterable[EventRecord]) -> "EventLog":
-        return cls(tuple(records))
-
     def __len__(self) -> int:
         return len(self.records)
 
@@ -143,9 +137,6 @@ class Histogram:
         m = dict(mass)
         return cls(mass=m, support_count=len(m), sample_count=sample_count)
 
-    def probability(self, location: str) -> float:
-        return self.mass.get(location, 0.0)
-
     def key(self) -> tuple:
         """Canonical value of the sparse map, for exact-equality grouping."""
         return tuple(sorted(self.mass.items()))
@@ -163,10 +154,6 @@ class HistogramSet:
         if len(set(owners)) != len(owners):
             raise ValueError("owner ids must be unique within a histogram set")
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, Histogram]], labeled: bool) -> "HistogramSet":
-        return cls(tuple((o, h) for o, h in pairs), labeled)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -181,9 +168,6 @@ class HistogramSet:
     @cached_property
     def _owner_index(self) -> dict[str, int]:
         return {o: i for i, (o, _) in enumerate(self.entries)}
-
-    def index_of(self, owner: str) -> int:
-        return self._owner_index[owner]
 
     def histogram(self, owner: str) -> Histogram:
         return self.entries[self._owner_index[owner]][1]
@@ -253,6 +237,17 @@ def aggregate_locations(h: Histogram, mapping: Mapping[str, str]) -> Histogram:
     for loc, p in h.mass.items():
         merged[mapping.get(loc, loc)] += p
     return Histogram(mass=dict(merged), support_count=len(merged), sample_count=h.sample_count)
+
+
+def parse_latlon(text: str) -> tuple[float, float]:
+    """The latitude and longitude of a ``"lat,lon"`` location."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise HistmatchError(f"expected 'lat,lon', got {text!r}")
+    try:
+        return float(parts[0]), float(parts[1])
+    except ValueError:
+        raise HistmatchError(f"expected numeric 'lat,lon', got {text!r}") from None
 
 
 def quantize_geo(lat: float, lon: float, cell_side: float, origin: tuple[float, float]) -> str:

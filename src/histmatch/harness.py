@@ -19,8 +19,9 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,12 +34,13 @@ from .core import (
     aggregate_locations,
     filter_active_users,
     histograms_by_user,
+    parse_latlon,
     quantize_geo,
     split_by_period,
     suppress_and_renormalize,
 )
 from .errors import ConfigError, PartitionCoverageError, ZeroMassAfterSuppressionError
-from .matcher import BipartiteInstance, MatchResult, build_instance, match_cardinality, match_min_weight
+from .matcher import MatchResult, build_instance, match_cardinality, match_min_weight
 from .metrics import MetricKind
 from .synth import GENERATOR_NAME, OverlapSpec, PopulationSpec, generate_pair, location_ids, sample_population, seeded_generator
 
@@ -133,50 +135,37 @@ def bootstrap_ci(
     return float(low), float(high)
 
 
-SCENARIOS = ("vary_n", "vary_t", "overlap", "aggregate", "suppress", "kanon")
+class _Scenario(NamedTuple):
+    param: str  # the results column that holds the grid value
+    grid_key: str  # the params key that lists the grid values
+    defaults: dict
 
-_DEFAULT_PARAMS: dict[str, dict] = {
-    "vary_n": {"n_values": [10, 50, 100], "alphabet_size": 100, "concentration": 1.0, "t": 40},
-    "vary_t": {"t_values": [50, 200, 800], "n_users": 100, "alphabet_size": 100, "concentration": 1.0},
-    "overlap": {
-        "r_values": [150],
-        "n_left": 200,
-        "n_right": 200,
-        "alphabet_size": 100,
-        "concentration": 1.0,
+
+_SCENARIOS: dict[str, _Scenario] = {
+    "vary_n": _Scenario("n", "n_values", {
+        "n_values": [10, 50, 100], "alphabet_size": 100, "concentration": 1.0, "t": 40,
+    }),
+    "vary_t": _Scenario("t", "t_values", {
+        "t_values": [50, 200, 800], "n_users": 100, "alphabet_size": 100, "concentration": 1.0,
+    }),
+    "overlap": _Scenario("r", "r_values", {
+        "r_values": [150], "n_left": 200, "n_right": 200, "alphabet_size": 100, "concentration": 1.0,
         "t": 60,
-    },
-    "aggregate": {
-        "group_counts": [100, 20, 5],
-        "n_users": 100,
-        "alphabet_size": 100,
-        "concentration": 1.0,
+    }),
+    "aggregate": _Scenario("groups", "group_counts", {
+        "group_counts": [100, 20, 5], "n_users": 100, "alphabet_size": 100, "concentration": 1.0,
         "t": 100,
-    },
-    "suppress": {
-        "keep_sizes": [200, 50, 10],
-        "n_users": 100,
-        "alphabet_size": 200,
-        "concentration": 0.1,
+    }),
+    "suppress": _Scenario("keep", "keep_sizes", {
+        "keep_sizes": [200, 50, 10], "n_users": 100, "alphabet_size": 200, "concentration": 0.1,
         "t": 200,
-    },
-    "kanon": {
-        "k_values": [1, 2, 5, 10],
-        "n_users": 100,
-        "alphabet_size": 200,
-        "concentration": 0.1,
+    }),
+    "kanon": _Scenario("k", "k_values", {
+        "k_values": [1, 2, 5, 10], "n_users": 100, "alphabet_size": 200, "concentration": 0.1,
         "t": 500,
-    },
+    }),
 }
-
-_GRID_KEYS = {
-    "vary_n": ("n", "n_values"),
-    "vary_t": ("t", "t_values"),
-    "overlap": ("r", "r_values"),
-    "aggregate": ("groups", "group_counts"),
-    "suppress": ("keep", "keep_sizes"),
-    "kanon": ("k", "k_values"),
-}
+SCENARIOS = tuple(_SCENARIOS)
 
 
 @dataclass
@@ -226,7 +215,7 @@ class ExperimentConfig:
         return asdict(self)
 
     def merged_params(self) -> dict:
-        merged = dict(_DEFAULT_PARAMS[self.scenario])
+        merged = dict(_SCENARIOS[self.scenario].defaults)
         merged.update(self.params)
         return merged
 
@@ -251,12 +240,7 @@ class ExperimentRow:
     mean_solve_ms: float = 0.0
 
 
-_ROW_FIELDS = [
-    "scenario", "param", "value", "metric", "algorithm", "repetitions",
-    "mean_user_level_pct", "ci90_low", "ci90_high", "mean_percentage_accuracy",
-    "mean_correct", "mean_cluster_level_pct", "mean_information_loss",
-    "kanon_ok", "mean_weights_ms", "mean_solve_ms",
-]
+_ROW_FIELDS = [f.name for f in fields(ExperimentRow)]
 
 
 # one decimal place for percentages in emitted files
@@ -314,53 +298,35 @@ def _rep_seed(seed: int, grid_index: int, rep: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _score(
-    instance: BipartiteInstance,
-    result: MatchResult,
-    truth: GroundTruth,
-    weights_ms: float,
-    solve_ms: float,
-    partition: ClusterPartition | None = None,
-) -> dict:
-    report = user_level_accuracy(result, truth, instance.left, instance.right)
-    payload = {
-        "user_pct": report.user_level_pct,
-        "pct_acc": report.percentage_accuracy,
-        "n_correct": report.n_correct,
-        "n_common": report.n_common,
-        "cluster_pct": None,
-        "loss": None,
-        "kanon_ok": None,
-        "weights_ms": weights_ms,
-        "solve_ms": solve_ms,
-    }
-    if partition is not None:
-        payload["cluster_pct"] = cluster_level_accuracy(
-            result, truth, partition, instance.left, instance.right
-        )
-    return payload
+def _solve_all(left, right, truth, metrics, r=None, partition=None) -> dict:
+    """Score A1, and A2 at cardinality ``r`` when one is given, under each metric.
 
-
-def _solve_all(left, right, truth, metrics, algorithms, r=None, partition=None) -> dict:
+    With a ``partition`` the cluster-level accuracy is scored too.
+    """
     payloads: dict[str, dict] = {}
     for token in metrics:
-        kind = MetricKind.from_token(token)
         t0 = time.perf_counter()
-        instance = build_instance(left, right, kind)
-        t1 = time.perf_counter()
-        weights_ms = 1000.0 * (t1 - t0)
-        for algorithm in algorithms:
-            t2 = time.perf_counter()
-            if algorithm == "a1":
-                result = match_min_weight(instance)
-            elif algorithm == "a2":
-                result = match_cardinality(instance, r)
-            else:
-                raise ConfigError(f"unknown algorithm {algorithm!r}")
-            solve_ms = 1000.0 * (time.perf_counter() - t2)
-            payloads[f"{token}|{algorithm}"] = _score(
-                instance, result, truth, weights_ms, solve_ms, partition=partition
-            )
+        instance = build_instance(left, right, MetricKind.from_token(token))
+        weights_ms = 1000.0 * (time.perf_counter() - t0)
+        runs = [("a1", match_min_weight, ())]
+        if r is not None:
+            runs.append(("a2", match_cardinality, (r,)))
+        for algorithm, solve, extra in runs:
+            t1 = time.perf_counter()
+            result = solve(instance, *extra)
+            solve_ms = 1000.0 * (time.perf_counter() - t1)
+            report = user_level_accuracy(result, truth, left, right)
+            payloads[f"{token}|{algorithm}"] = {
+                "user_pct": report.user_level_pct,
+                "pct_acc": report.percentage_accuracy,
+                "n_correct": report.n_correct,
+                "cluster_pct": (
+                    None if partition is None
+                    else cluster_level_accuracy(result, truth, partition, left, right)
+                ),
+                "weights_ms": weights_ms,
+                "solve_ms": solve_ms,
+            }
     return payloads
 
 
@@ -370,44 +336,45 @@ def _aggregation_mapping(alphabet_size: int, groups: int, seed: int) -> dict[str
     return {ids[int(p)]: f"g{pos % groups}" for pos, p in enumerate(perm)}
 
 
+def _aggregate_set(hset: HistogramSet, mapping: dict[str, str]) -> HistogramSet:
+    return HistogramSet(tuple((o, aggregate_locations(h, mapping)) for o, h in hset.entries), hset.labeled)
+
+
+def _most_popular(hset: HistogramSet, size: int) -> set[str]:
+    """The ``size`` locations with the most total mass in the set, ties by id."""
+    popularity: dict[str, float] = {}
+    for hist in hset.histograms:
+        for loc, p in hist.mass.items():
+            popularity[loc] = popularity.get(loc, 0.0) + p
+    return set(sorted(popularity, key=lambda loc: (-popularity[loc], loc))[:size])
+
+
+def _suppress_side(hset: HistogramSet, keep: set[str]) -> tuple[dict, set[str]]:
+    """Each owner's suppressed histogram, and the owners left with no mass."""
+    kept, emptied = {}, set()
+    for owner, hist in hset.entries:
+        try:
+            kept[owner] = suppress_and_renormalize(hist, keep)
+        except ZeroMassAfterSuppressionError:
+            emptied.add(owner)
+    return kept, emptied
+
+
 def _suppress_sets(left, right, truth, keep: set[str]):
     """Suppress both sides, dropping users with no retained mass (and their
     counterparts) so the scenario stays a clean full-overlap instance."""
-    zero_left = set()
-    new_left = {}
-    for owner, hist in left.entries:
-        try:
-            new_left[owner] = suppress_and_renormalize(hist, keep)
-        except ZeroMassAfterSuppressionError:
-            zero_left.add(owner)
-    zero_right = set()
-    new_right = {}
-    for owner, hist in right.entries:
-        try:
-            new_right[owner] = suppress_and_renormalize(hist, keep)
-        except ZeroMassAfterSuppressionError:
-            zero_right.add(owner)
-
-    drop_left = zero_left | {a for a, b in truth.mapping.items() if b in zero_right}
-    drop_right = zero_right | {truth.mapping[a] for a in zero_left if a in truth.mapping}
-    left_out = HistogramSet(
-        entries=tuple((o, new_left[o]) for o, _ in left.entries if o not in drop_left and o in new_left),
-        labeled=left.labeled,
-    )
-    right_out = HistogramSet(
-        entries=tuple((o, new_right[o]) for o, _ in right.entries if o not in drop_right and o in new_right),
-        labeled=right.labeled,
-    )
-    kept_left = set(left_out.owners)
-    kept_right = set(right_out.owners)
-    truth_out = GroundTruth(
-        mapping={a: b for a, b in truth.mapping.items() if a in kept_left and b in kept_right}
-    )
-    return left_out, right_out, truth_out
+    new_left, zero_left = _suppress_side(left, keep)
+    new_right, zero_right = _suppress_side(right, keep)
+    kept = {a: b for a, b in truth.mapping.items() if a not in zero_left and b not in zero_right}
+    drop_left = truth.mapping.keys() - kept.keys()
+    drop_right = set(truth.mapping.values()) - set(kept.values())
+    left_out = HistogramSet(tuple((o, h) for o, h in new_left.items() if o not in drop_left), left.labeled)
+    right_out = HistogramSet(tuple((o, h) for o, h in new_right.items() if o not in drop_right), right.labeled)
+    return left_out, right_out, GroundTruth(mapping=kept)
 
 
-def _event_log_sets(params: dict, cell_side: float | None):
-    """Real-data path: event CSV -> (quantized) periods -> active-user histograms.
+def _event_log_sets(params: dict, cell_side: float):
+    """Real-data path: event CSV -> quantized periods -> active-user histograms.
 
     The truth is the identity map over users active in both periods.  Used by
     the aggregate scenario when an ``event_log`` path is configured, with the
@@ -416,14 +383,12 @@ def _event_log_sets(params: dict, cell_side: float | None):
     from . import io as hio
 
     log = hio.read_event_log(params["event_log"])
-    if cell_side is not None:
-        origin = tuple(params.get("geo_origin", (0.0, 0.0)))
-        records = []
-        for rec in log.records:
-            lat_text, lon_text = rec.location.split(",")
-            key = quantize_geo(float(lat_text), float(lon_text), cell_side, origin)
-            records.append(EventRecord(user=rec.user, timestamp=rec.timestamp, location=key))
-        log = EventLog(records=tuple(records))
+    origin = tuple(params.get("geo_origin", (0.0, 0.0)))
+    records = []
+    for rec in log.records:
+        key = quantize_geo(*parse_latlon(rec.location), cell_side, origin)
+        records.append(EventRecord(user=rec.user, timestamp=rec.timestamp, location=key))
+    log = EventLog(records=tuple(records))
     first, second = split_by_period(log, params["boundary"])
     active = filter_active_users(first, second)
     left = histograms_by_user(first, labeled=False, users=active)
@@ -433,79 +398,43 @@ def _event_log_sets(params: dict, cell_side: float | None):
 
 
 def _rep_task(args: tuple) -> dict:
-    """One repetition at one grid point; self-contained and picklable."""
+    """One repetition at one grid point; self-contained and picklable.
+
+    Every synthetic scenario draws a population and a pair of sets; the grid
+    value sets N, t or r, or the size of the scenario's own step after that.
+    """
     scenario, params, metrics, value, rep_seed, config_seed = args
     if scenario == "aggregate" and params.get("event_log"):
         left, right, truth = _event_log_sets(params, cell_side=float(value))
-        return _solve_all(left, right, truth, metrics, ("a1",))
+        return _solve_all(left, right, truth, metrics)
 
-    if scenario == "vary_n":
-        n = int(value)
-        pop = sample_population(PopulationSpec(n, params["alphabet_size"], params["concentration"], rep_seed))
-        left, right, truth = generate_pair(pop, params["t"], params["t"], OverlapSpec.full(n), rep_seed)
-        return _solve_all(left, right, truth, metrics, ("a1",))
-
-    if scenario == "vary_t":
-        t = int(value)
-        n = params["n_users"]
-        pop = sample_population(PopulationSpec(n, params["alphabet_size"], params["concentration"], rep_seed))
-        left, right, truth = generate_pair(pop, t, t, OverlapSpec.full(n), rep_seed)
-        return _solve_all(left, right, truth, metrics, ("a1",))
+    value = int(value)
+    if scenario == "overlap":
+        spec = OverlapSpec(params["n_left"], params["n_right"], value)
+    else:
+        spec = OverlapSpec.full(value if scenario == "vary_n" else params["n_users"])
+    t = value if scenario == "vary_t" else params["t"]
+    pop = sample_population(
+        PopulationSpec(spec.population_needed, params["alphabet_size"], params["concentration"], rep_seed)
+    )
+    left, right, truth = generate_pair(pop, t, t, spec, rep_seed)
 
     if scenario == "overlap":
-        r = int(value)
-        spec = OverlapSpec(params["n_left"], params["n_right"], r)
-        pop = sample_population(
-            PopulationSpec(spec.population_needed, params["alphabet_size"], params["concentration"], rep_seed)
-        )
-        left, right, truth = generate_pair(pop, params["t"], params["t"], spec, rep_seed)
-        return _solve_all(left, right, truth, metrics, ("a1", "a2"), r=r)
-
+        return _solve_all(left, right, truth, metrics, r=value)
     if scenario == "aggregate":
-        groups = int(value)
-        n = params["n_users"]
-        m = params["alphabet_size"]
-        pop = sample_population(PopulationSpec(n, m, params["concentration"], rep_seed))
-        left, right, truth = generate_pair(pop, params["t"], params["t"], OverlapSpec.full(n), rep_seed)
-        mapping = _aggregation_mapping(m, groups, config_seed)
-        left = HistogramSet(
-            tuple((o, aggregate_locations(h, mapping)) for o, h in left.entries), left.labeled
-        )
-        right = HistogramSet(
-            tuple((o, aggregate_locations(h, mapping)) for o, h in right.entries), right.labeled
-        )
-        return _solve_all(left, right, truth, metrics, ("a1",))
-
-    if scenario == "suppress":
-        keep_size = int(value)
-        n = params["n_users"]
-        m = params["alphabet_size"]
-        pop = sample_population(PopulationSpec(n, m, params["concentration"], rep_seed))
-        left, right, truth = generate_pair(pop, params["t"], params["t"], OverlapSpec.full(n), rep_seed)
-        popularity: dict[str, float] = {}
-        for _, hist in right.entries:
-            for loc, p in hist.mass.items():
-                popularity[loc] = popularity.get(loc, 0.0) + p
-        ranked = sorted(popularity, key=lambda loc: (-popularity[loc], loc))
-        keep = set(ranked[:keep_size])
-        left, right, truth = _suppress_sets(left, right, truth, keep)
-        return _solve_all(left, right, truth, metrics, ("a1",))
-
-    if scenario == "kanon":
-        k = int(value)
-        n = params["n_users"]
-        pop = sample_population(PopulationSpec(n, params["alphabet_size"], params["concentration"], rep_seed))
-        left, right, truth = generate_pair(pop, params["t"], params["t"], OverlapSpec.full(n), rep_seed)
-        partition, released = microaggregate(left, k)
+        mapping = _aggregation_mapping(params["alphabet_size"], value, config_seed)
+        left, right = _aggregate_set(left, mapping), _aggregate_set(right, mapping)
+    elif scenario == "suppress":
+        left, right, truth = _suppress_sets(left, right, truth, _most_popular(right, value))
+    elif scenario == "kanon":
+        partition, released = microaggregate(left, value)
         loss = information_loss(partition, left)
-        valid = verify_k_anonymity(released, k)
-        payloads = _solve_all(released, right, truth, metrics, ("a1",), partition=partition)
+        valid = verify_k_anonymity(released, value)
+        payloads = _solve_all(released, right, truth, metrics, partition=partition)
         for payload in payloads.values():
-            payload["loss"] = loss
-            payload["kanon_ok"] = bool(valid)
+            payload.update(loss=loss, kanon_ok=bool(valid))
         return payloads
-
-    raise ConfigError(f"unknown scenario {scenario!r}")
+    return _solve_all(left, right, truth, metrics)
 
 
 def _mean(values) -> float | None:
@@ -521,7 +450,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     and ``metadata.json`` there.
     """
     params = config.merged_params()
-    param_name, grid_key = _GRID_KEYS[config.scenario]
+    param_name, grid_key, _ = _SCENARIOS[config.scenario]
     if config.scenario == "aggregate" and params.get("event_log"):
         param_name, grid_key = "cell_side", "cell_sides"
         if grid_key not in params:
@@ -548,20 +477,18 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     rows: list[ExperimentRow] = []
     for gi, value in enumerate(values):
         reps = outcomes[gi * config.repetitions : (gi + 1) * config.repetitions]
-        keys = list(reps[0])
-        for ki, key in enumerate(keys):
+        for ki, key in enumerate(reps[0]):
             token, algorithm = key.split("|")
             series = [rep[key] for rep in reps]
             user_vals = [s["user_pct"] for s in series]
             low, high = bootstrap_ci(user_vals, seed=_rep_seed(config.seed, 10_000 + gi, ki))
-            algo_label = algorithm if algorithm != "a2" else f"a2({value})"
             rows.append(
                 ExperimentRow(
                     scenario=config.scenario,
                     param=param_name,
                     value=value,
                     metric=token,
-                    algorithm=algo_label,
+                    algorithm=algorithm if algorithm != "a2" else f"a2({value})",
                     repetitions=config.repetitions,
                     mean_user_level_pct=_mean(user_vals),
                     ci90_low=low,
@@ -569,12 +496,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
                     mean_percentage_accuracy=_mean(s["pct_acc"] for s in series),
                     mean_correct=float(np.mean([s["n_correct"] for s in series])),
                     mean_cluster_level_pct=_mean(s["cluster_pct"] for s in series),
-                    mean_information_loss=_mean(s["loss"] for s in series),
-                    kanon_ok=(
-                        None
-                        if all(s["kanon_ok"] is None for s in series)
-                        else all(bool(s["kanon_ok"]) for s in series)
-                    ),
+                    mean_information_loss=_mean(s.get("loss") for s in series),
+                    kanon_ok=all(s["kanon_ok"] for s in series) if "kanon_ok" in series[0] else None,
                     mean_weights_ms=float(np.mean([s["weights_ms"] for s in series])),
                     mean_solve_ms=float(np.mean([s["solve_ms"] for s in series])),
                 )

@@ -42,9 +42,9 @@ MATCH_HEADER = ["left_owner", "right_owner", "weight"]
 HISTOGRAM_SUM_ATOL = 1e-6
 
 
-def _read_rows(path: str | Path, expected_header: list[str]) -> Iterator[list[str]]:
-    """Yield the non-empty rows after a checked header, one at a time, so a
-    reader holds only what it keeps of the file."""
+def _read_rows(path: str | Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield each non-empty row after a checked header with its physical line
+    number, one at a time, so a reader holds only what it keeps of the file."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -53,12 +53,14 @@ def _read_rows(path: str | Path, expected_header: list[str]) -> Iterator[list[st
             raise FileFormatError(f"{path}: empty file, expected header {expected_header}") from None
         if [h.strip() for h in header] != expected_header:
             raise FileFormatError(f"{path}: header {header!r} does not match {expected_header}")
-        yield from filter(None, reader)
+        for row in reader:
+            if row:
+                yield reader.line_num, row
 
 
 def read_event_log(path: str | Path) -> EventLog:
     records = []
-    for lineno, row in enumerate(_read_rows(path, EVENT_HEADER), start=2):
+    for lineno, row in _read_rows(path, EVENT_HEADER):
         if len(row) != 3:
             raise FileFormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
         user, ts, location = (c.strip() for c in row)
@@ -74,7 +76,7 @@ def read_event_log(path: str | Path) -> EventLog:
 
 def read_aggregation_table(path: str | Path) -> dict[str, str]:
     mapping: dict[str, str] = {}
-    for lineno, row in enumerate(_read_rows(path, AGGREGATION_HEADER), start=2):
+    for lineno, row in _read_rows(path, AGGREGATION_HEADER):
         if len(row) != 2:
             raise FileFormatError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
         src, dst = (c.strip() for c in row)
@@ -89,7 +91,7 @@ def read_histogram_set(path: str | Path, labeled: bool) -> HistogramSet:
     # One string object per distinct location, shared by every owner's keys:
     # a set then keeps about half of what one string per row would cost.
     symbols: dict[str, str] = {}
-    for lineno, row in enumerate(_read_rows(path, HISTOGRAM_HEADER), start=2):
+    for lineno, row in _read_rows(path, HISTOGRAM_HEADER):
         if len(row) != 3:
             raise FileFormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
         owner, location, prob_text = row
@@ -131,7 +133,7 @@ def write_histogram_set(hset: HistogramSet, path: str | Path) -> None:
 
 def read_truth(path: str | Path) -> GroundTruth:
     mapping: dict[str, str] = {}
-    for lineno, row in enumerate(_read_rows(path, TRUTH_HEADER), start=2):
+    for lineno, row in _read_rows(path, TRUTH_HEADER):
         if len(row) != 2:
             raise FileFormatError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
         left, right = (c.strip() for c in row)

@@ -242,6 +242,21 @@ class TestIngestCommand:
         assert lset.histogram("u1").mass == {"0:0": 1.0}
         assert rset.histogram("u1").mass == {"1:0": 1.0}
 
+    def test_geo_bad_location(self, tmp_path, capsys):
+        events = tmp_path / "events.csv"
+        events.write_text("user,timestamp,location\nu1,10,39.9;116.3\nu1,900,39.9;116.3\n")
+        code, out, err = run_cli(
+            capsys,
+            "ingest",
+            "--events", str(events), "--boundary", "500",
+            "--out-left", str(tmp_path / "l.csv"), "--out-right", str(tmp_path / "r.csv"),
+            "--geo-grid", "100",
+        )
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "HistmatchError", "message": "expected 'lat,lon', got '39.9;116.3'",
+        }
+
     def test_aggregation_table(self, tmp_path, capsys):
         events = tmp_path / "events.csv"
         events.write_text(

@@ -263,7 +263,6 @@ class TestTypes:
         a = Alphabet.from_symbols(["x", "y", "x"])
         assert a.symbols == ("x", "y")
         assert a.size == 2
-        assert "x" in a and "z" not in a
         assert a.index("y") == 1
         with pytest.raises(ValueError):
             Alphabet(symbols=("x", "x"))

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from histmatch.anonymize import ClusterPartition, microaggregate
 from histmatch.core import GroundTruth, Histogram, HistogramSet
-from histmatch.errors import ConfigError, PartitionCoverageError
+from histmatch.errors import ConfigError, HistmatchError, PartitionCoverageError
 from histmatch.harness import (
     AccuracyReport,
     ExperimentConfig,
@@ -323,6 +325,16 @@ class TestRunExperiment:
         assert fine.param == "cell_side"
         assert fine.mean_user_level_pct == 100.0
         assert coarse.mean_user_level_pct is not None
+
+    def test_aggregate_event_log_bad_location_is_typed(self, tmp_path):
+        events = tmp_path / "gps.csv"
+        events.write_text("user,timestamp,location\nu0,100,39.9;116.3\nu0,1100,39.9;116.3\n")
+        cfg = ExperimentConfig(
+            scenario="aggregate",
+            params={"event_log": str(events), "boundary": 1000, "cell_sides": [100.0]},
+        )
+        with pytest.raises(HistmatchError, match=re.escape("expected 'lat,lon', got '39.9;116.3'")):
+            run_experiment(cfg)
 
     def test_aggregate_event_log_requires_fields(self, tmp_path):
         cfg = ExperimentConfig(

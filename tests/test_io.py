@@ -116,11 +116,10 @@ class TestHistogramSet:
             hio.read_histogram_set(path, labeled=False)
 
     def test_line_numbers_skip_blank_lines(self, tmp_path):
-        # Blank lines are dropped before rows are numbered, so a row after
-        # one is numbered by its count of non-empty rows, not its physical line.
+        # Blank lines are skipped, but a row keeps its physical line number.
         path = tmp_path / "h.csv"
         path.write_text("owner,location,probability\nu1,a,0.5\n\n\nu1,b,oops\n")
-        with pytest.raises(FileFormatError, match="^" + re.escape(f"{path}:3: probability 'oops'")):
+        with pytest.raises(FileFormatError, match="^" + re.escape(f"{path}:5: probability 'oops'")):
             hio.read_histogram_set(path, labeled=False)
 
     def test_ungrouped_owner_rows_merge(self, tmp_path):
