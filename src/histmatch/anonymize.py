@@ -6,7 +6,7 @@ exactly identical to at least k-1 others.  Cluster quality is scored by the
 l1 distortion between members and their centroid, normalized by the distortion
 of collapsing everything to the grand centroid.
 
-Both steps run on the set packed into CSR rows over its location alphabet, and
+Both steps run on the set's packed CSR rows (``HistogramSet.rows``), and
 every l1 distance that decides a cluster or enters the loss equals
 ``weight_l1``'s, which ``math.fsum`` rounds exactly.
 """
@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.sparse import csr_array
 
-from .core import Alphabet, Histogram, HistogramSet
+from .core import Histogram, HistogramSet, union_rows
 from .errors import InvalidKError, PartitionCoverageError
 from .metrics import weight_l1
 
@@ -118,8 +118,7 @@ def microaggregate(histograms: HistogramSet, k: int) -> tuple[ClusterPartition, 
     if not 1 <= k <= n:
         raise InvalidKError(f"k={k} outside 1..{n}")
     hists = histograms.histograms
-    alphabet = Alphabet.from_histogram_sets(histograms)
-    rows = alphabet.pack(histograms)
+    rows = histograms.rows
     alive = np.ones(n, dtype=bool)
     clusters: list[tuple[int, ...]] = []
     while (remaining := np.flatnonzero(alive)).size >= 2 * k:
@@ -135,10 +134,7 @@ def microaggregate(histograms: HistogramSet, k: int) -> tuple[ClusterPartition, 
         members = [anchor]
         if k > 1:
             others = remaining[remaining != anchor]
-            lo, hi = rows.indptr[anchor], rows.indptr[anchor + 1]
-            v = np.zeros(alphabet.size)
-            v[rows.indices[lo:hi]] = rows.data[lo:hi]
-            d, tol = _l1_to(rows, v)
+            d, tol = _l1_to(rows, rows[[anchor]].toarray()[0])
             d = d[others]
             near = others[d <= np.partition(d, k - 2)[k - 2] + 2.0 * tol]
             if near.size > k - 1:
@@ -207,10 +203,9 @@ def information_loss(partition: ClusterPartition, histograms: HistogramSet) -> f
     if partition.owners() != set(histograms.owners):
         raise PartitionCoverageError("partition does not cover the histogram set's owners")
     centroids = HistogramSet(tuple((str(q), c) for q, c in enumerate(partition.centroids)), labeled=False)
-    alphabet = Alphabet.from_histogram_sets(histograms, centroids)
-    rows = alphabet.pack(histograms)
+    rows, centers = union_rows(histograms, centroids)
     cluster_of = np.array([partition.cluster_of[owner] for owner in histograms.owners])
-    numerator = math.fsum(_exact_l1(rows, alphabet.pack(centroids), cluster_of))
+    numerator = math.fsum(_exact_l1(rows, centers, cluster_of))
     grand = csr_array(_mean_row(rows, np.ones(len(histograms), dtype=bool))[None, :])
     denominator = math.fsum(_exact_l1(rows, grand, np.zeros(len(histograms), dtype=np.intp)))
     if denominator == 0.0:
@@ -220,6 +215,10 @@ def information_loss(partition: ClusterPartition, histograms: HistogramSet) -> f
 
 def verify_k_anonymity(released: HistogramSet, k: int) -> bool:
     """True when every released histogram's sparse map is exactly equal to the
-    maps of at least k-1 other released histograms."""
-    counts = Counter(h.key() for h in released.histograms)
+    maps of at least k-1 other released histograms.  With ascending columns
+    and positive, finite masses, two packed rows' bytes are equal exactly when
+    their maps are."""
+    rows = released.rows
+    ptr = rows.indptr.tolist()
+    counts = Counter((rows.indices[a:b].tobytes(), rows.data[a:b].tobytes()) for a, b in zip(ptr, ptr[1:]))
     return all(c >= k for c in counts.values())

@@ -1,9 +1,10 @@
 """Domain types and dataset transforms.
 
 Histograms are stored sparsely (location id -> probability); the location
-alphabet is implicit and absent ids carry probability zero.  Bulk kernels pack
-a histogram set into CSR rows over an explicit :class:`Alphabet`.  All types
-are immutable after construction and all operations are pure functions.
+alphabet is implicit and absent ids carry probability zero.  Bulk kernels read
+a histogram set as CSR rows over its locations (``HistogramSet.rows``), packed
+once per set.  All types are immutable after construction and all operations
+are pure functions.
 """
 from __future__ import annotations
 
@@ -29,57 +30,6 @@ MASS_ATOL = 1e-9
 
 # Mean Earth radius in meters, used by the local equirectangular projection.
 EARTH_RADIUS_M = 6_371_000.0
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Ordered set of distinct location identifiers."""
-
-    symbols: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("alphabet contains duplicate symbols")
-        if any(not s for s in self.symbols):
-            raise ValueError("alphabet symbols must be non-empty strings")
-
-    @classmethod
-    def from_symbols(cls, symbols: Iterable[str]) -> "Alphabet":
-        return cls(tuple(dict.fromkeys(symbols)))
-
-    @classmethod
-    def from_histogram_sets(cls, *sets: "HistogramSet") -> "Alphabet":
-        """Union of the locations observed in any of the given sets."""
-        locs = chain.from_iterable(h.mass for hset in sets for h in hset.histograms)
-        return cls(tuple(dict.fromkeys(locs)))
-
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.symbols)}
-
-    def index(self, symbol: str) -> int:
-        return self._index[symbol]
-
-    def pack(self, hset: "HistogramSet") -> csr_array:
-        """One CSR row per histogram of the set, in set order, over this
-        alphabet's columns, with each row's columns ascending."""
-        hists = hset.histograms
-        lengths = [h.support_count for h in hists]
-        nnz = sum(lengths)
-        # The index width scipy would pick, so that its constructor copies nothing.
-        index_dtype = np.int32 if max(nnz, self.size) < 2**31 else np.int64
-        indptr = np.zeros(len(hists) + 1, dtype=index_dtype)
-        np.cumsum(lengths, out=indptr[1:])
-        locs = chain.from_iterable(h.mass for h in hists)
-        indices = np.fromiter(map(self._index.__getitem__, locs), dtype=index_dtype, count=nnz)
-        data = np.fromiter(chain.from_iterable(h.mass.values() for h in hists), dtype=np.float64, count=nnz)
-        rows = csr_array((data, indices, indptr), shape=(len(hists), self.size))
-        rows.sort_indices()
-        return rows
 
 
 @dataclass(frozen=True)
@@ -118,28 +68,24 @@ class Histogram:
     """
 
     mass: dict[str, float]
-    support_count: int
     sample_count: int = 0
 
     def __post_init__(self):
         if not self.mass:
             raise ValueError("histogram must have at least one entry")
-        if self.support_count != len(self.mass):
-            raise ValueError("support_count does not match the stored entries")
-        if any(p <= 0.0 for p in self.mass.values()):
+        if not all(p > 0.0 for p in self.mass.values()):
             raise ValueError("histogram entries must be strictly positive")
         total = math.fsum(self.mass.values())
         if abs(total - 1.0) > MASS_ATOL:
             raise ValueError(f"histogram mass sums to {total!r}, not 1")
 
+    @property
+    def support_count(self) -> int:
+        return len(self.mass)
+
     @classmethod
     def from_mass(cls, mass: Mapping[str, float], sample_count: int = 0) -> "Histogram":
-        m = dict(mass)
-        return cls(mass=m, support_count=len(m), sample_count=sample_count)
-
-    def key(self) -> tuple:
-        """Canonical value of the sparse map, for exact-equality grouping."""
-        return tuple(sorted(self.mass.items()))
+        return cls(mass=dict(mass), sample_count=sample_count)
 
 
 @dataclass(frozen=True)
@@ -172,6 +118,33 @@ class HistogramSet:
     def histogram(self, owner: str) -> Histogram:
         return self.entries[self._owner_index[owner]][1]
 
+    @cached_property
+    def locations(self) -> tuple[str, ...]:
+        """Every location the set uses, in the order of first use."""
+        return tuple(dict.fromkeys(chain.from_iterable(h.mass for h in self.histograms)))
+
+    @cached_property
+    def rows(self) -> csr_array:
+        """One CSR row per histogram, in set order, over ``locations``, with
+        each row's columns ascending.  Its arrays are shared by every caller
+        and read-only."""
+        hists = self.histograms
+        column = dict(zip(self.locations, range(len(self.locations))))
+        lengths = [len(h.mass) for h in hists]
+        nnz = sum(lengths)
+        # The index width scipy would pick, so that its constructor copies nothing.
+        index_dtype = np.int32 if max(nnz, len(column)) < 2**31 else np.int64
+        indptr = np.zeros(len(hists) + 1, dtype=index_dtype)
+        np.cumsum(lengths, out=indptr[1:])
+        locs = chain.from_iterable(h.mass for h in hists)
+        indices = np.fromiter(map(column.__getitem__, locs), dtype=index_dtype, count=nnz)
+        data = np.fromiter(chain.from_iterable(h.mass.values() for h in hists), dtype=np.float64, count=nnz)
+        rows = csr_array((data, indices, indptr), shape=(len(hists), len(column)))
+        rows.sort_indices()
+        for array in (rows.data, rows.indices, rows.indptr):
+            array.flags.writeable = False
+        return rows
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -192,6 +165,25 @@ class GroundTruth:
         return {v: k for k, v in self.mapping.items()}
 
 
+def union_rows(first: HistogramSet, second: HistogramSet) -> tuple[csr_array, csr_array]:
+    """Both sets' rows over the union of their locations in first-use order:
+    ``first``'s locations, then the ones only ``second`` uses.
+
+    ``first``'s rows are its own arrays under the wider shape; ``second``'s
+    are a copy with each column index remapped and each row re-sorted, so
+    both equal a fresh pack of the set over the union.
+    """
+    column = dict(zip(first.locations, range(len(first.locations))))
+    for loc in second.locations:
+        column.setdefault(loc, len(column))
+    a, b = first.rows, second.rows
+    remap = np.fromiter(map(column.__getitem__, second.locations), dtype=b.indices.dtype, count=b.shape[1])
+    widened = csr_array((a.data, a.indices, a.indptr), shape=(a.shape[0], len(column)))
+    remapped = csr_array((b.data.copy(), remap[b.indices], b.indptr), shape=(b.shape[0], len(column)))
+    remapped.sort_indices()
+    return widened, remapped
+
+
 def build_histogram(events: Iterable[str]) -> Histogram:
     """Empirical distribution of a sequence of location ids (count / length)."""
     counts: dict[str, int] = {}
@@ -201,7 +193,7 @@ def build_histogram(events: Iterable[str]) -> Histogram:
     if t == 0:
         raise EmptyStringError("cannot build a histogram from an empty sequence")
     mass = {loc: c / t for loc, c in counts.items()}
-    return Histogram(mass=mass, support_count=len(mass), sample_count=t)
+    return Histogram(mass=mass, sample_count=t)
 
 
 def split_by_period(log: EventLog, boundary: float) -> tuple[EventLog, EventLog]:
@@ -236,7 +228,7 @@ def aggregate_locations(h: Histogram, mapping: Mapping[str, str]) -> Histogram:
     merged: dict[str, float] = defaultdict(float)
     for loc, p in h.mass.items():
         merged[mapping.get(loc, loc)] += p
-    return Histogram(mass=dict(merged), support_count=len(merged), sample_count=h.sample_count)
+    return Histogram(mass=dict(merged), sample_count=h.sample_count)
 
 
 def parse_latlon(text: str) -> tuple[float, float]:
@@ -276,4 +268,4 @@ def suppress_and_renormalize(h: Histogram, keep: set[str]) -> Histogram:
     if not kept or total <= 0.0:
         raise ZeroMassAfterSuppressionError("histogram has no mass on the kept locations")
     mass = {loc: p / total for loc, p in kept.items()}
-    return Histogram(mass=mass, support_count=len(mass), sample_count=h.sample_count)
+    return Histogram(mass=mass, sample_count=h.sample_count)

@@ -99,11 +99,7 @@ def cluster_level_accuracy(
     centroid as their true left owner."""
     if len(truth) == 0:
         return None
-    centroid_key_of: dict[str, tuple] = {}
-    for cluster, centroid in zip(partition.clusters, partition.centroids):
-        ck = centroid.key()
-        for owner in cluster:
-            centroid_key_of[owner] = ck
+    cluster_of, centroids = partition.cluster_of, partition.centroids
     inverse = truth.inverse
     correct = 0
     for i, j, _ in result.pairs:
@@ -111,9 +107,10 @@ def cluster_level_accuracy(
         if true_left is None:
             continue
         matched_left = left.owners[i]
-        if matched_left not in centroid_key_of or true_left not in centroid_key_of:
+        if matched_left not in cluster_of or true_left not in cluster_of:
             raise PartitionCoverageError("partition does not cover the left set")
-        if centroid_key_of[matched_left] == centroid_key_of[true_left]:
+        a, b = cluster_of[matched_left], cluster_of[true_left]
+        if a == b or centroids[a].mass == centroids[b].mass:
             correct += 1
     return 100.0 * correct / len(truth)
 
@@ -373,16 +370,13 @@ def _suppress_sets(left, right, truth, keep: set[str]):
     return left_out, right_out, GroundTruth(mapping=kept)
 
 
-def _event_log_sets(params: dict, cell_side: float):
-    """Real-data path: event CSV -> quantized periods -> active-user histograms.
+def _event_log_sets(log: EventLog, params: dict, cell_side: float):
+    """Real-data path: event log -> quantized periods -> active-user histograms.
 
     The truth is the identity map over users active in both periods.  Used by
     the aggregate scenario when an ``event_log`` path is configured, with the
     grid over quantization cell sides.
     """
-    from . import io as hio
-
-    log = hio.read_event_log(params["event_log"])
     origin = tuple(params.get("geo_origin", (0.0, 0.0)))
     records = []
     for rec in log.records:
@@ -400,13 +394,13 @@ def _event_log_sets(params: dict, cell_side: float):
 def _rep_task(args: tuple) -> dict:
     """One repetition at one grid point; self-contained and picklable.
 
-    Every synthetic scenario draws a population and a pair of sets; the grid
-    value sets N, t or r, or the size of the scenario's own step after that.
+    The event-log path hands in its grid point's sets as ``observed``.  Every
+    synthetic scenario draws a population and a pair of sets; the grid value
+    sets N, t or r, or the size of the scenario's own step after that.
     """
-    scenario, params, metrics, value, rep_seed, config_seed = args
-    if scenario == "aggregate" and params.get("event_log"):
-        left, right, truth = _event_log_sets(params, cell_side=float(value))
-        return _solve_all(left, right, truth, metrics)
+    scenario, params, metrics, value, rep_seed, config_seed, observed = args
+    if observed is not None:
+        return _solve_all(*observed, metrics)
 
     value = int(value)
     if scenario == "overlap":
@@ -451,7 +445,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     """
     params = config.merged_params()
     param_name, grid_key, _ = _SCENARIOS[config.scenario]
-    if config.scenario == "aggregate" and params.get("event_log"):
+    event_log = params.get("event_log") if config.scenario == "aggregate" else None
+    if event_log:
         param_name, grid_key = "cell_side", "cell_sides"
         if grid_key not in params:
             raise ConfigError("aggregate over an event_log requires 'cell_sides'")
@@ -460,13 +455,19 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     values = params[grid_key]
     if not values:
         raise ConfigError(f"{grid_key} must be a non-empty list")
+    observed = [None] * len(values)
+    if event_log:
+        from . import io as hio
+
+        log = hio.read_event_log(event_log)
+        observed = [_event_log_sets(log, params, float(value)) for value in values]
 
     tasks = []
     for gi, value in enumerate(values):
         for rep in range(config.repetitions):
             tasks.append(
                 (config.scenario, params, tuple(config.metrics), value,
-                 _rep_seed(config.seed, gi, rep), config.seed)
+                 _rep_seed(config.seed, gi, rep), config.seed, observed[gi])
             )
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as executor:

@@ -118,7 +118,7 @@ def read_histogram_set(path: str | Path, labeled: bool) -> HistogramSet:
         if abs(total - 1.0) > MASS_ATOL:
             mass = {loc: p / total for loc, p in mass.items()}
         # ``mass`` is built here and shared with nothing, so it is not copied.
-        entries.append((owner, Histogram(mass=mass, support_count=len(mass))))
+        entries.append((owner, Histogram(mass=mass)))
     return HistogramSet(entries=tuple(entries), labeled=labeled)
 
 

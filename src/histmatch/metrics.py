@@ -6,12 +6,12 @@ similarity.  Logarithms are natural throughout, so divergence values are in
 nats and the divergence weight lies in [0, 2 ln 2].
 
 Pairwise functions accept either :class:`~histmatch.core.Histogram` objects or
-plain ``{location: probability}`` mappings.  ``weight_matrix`` packs the two
-sets once over one shared :class:`~histmatch.core.Alphabet` and evaluates a
-whole set-against-set weight matrix in time proportional to the co-occurring
-support instead of N * N' * M: the dot and cosine weights as one sparse
-product of the packed rows, the divergence and l1 weights by a walk over the
-columns both sets use.
+plain ``{location: probability}`` mappings.  ``weight_matrix`` reads the two
+sets' packed rows over the union of their locations
+(:func:`~histmatch.core.union_rows`) and evaluates a whole set-against-set
+weight matrix in time proportional to the co-occurring support instead of
+N * N' * M: the dot and cosine weights as one sparse product of the packed
+rows, the divergence and l1 weights by a walk over the columns both sets use.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import Iterator, Mapping
 import numpy as np
 from scipy.sparse import csr_array
 
-from .core import Alphabet, Histogram, HistogramSet
+from .core import Histogram, HistogramSet, union_rows
 from .errors import AbsoluteContinuityError
 
 LN2 = math.log(2.0)
@@ -167,6 +167,13 @@ def pair_distance(kind: MetricKind, p, q) -> float:
     return 1.0 - value if kind.is_similarity else value
 
 
+def _row_fsums(rows: csr_array, values: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row's slice of ``values``, one entry per stored
+    element of ``rows``; fsum rounds exactly, so the entry order is immaterial."""
+    ptr = rows.indptr.tolist()
+    return np.array([math.fsum(values[a:b].tolist()) for a, b in zip(ptr, ptr[1:])])
+
+
 def _shared_columns(left: csr_array, right: csr_array) -> Iterator[tuple[np.ndarray, ...]]:
     """For each column both packed sets use, in column order: the rows of
     each side with mass there, ascending, and those masses."""
@@ -186,22 +193,20 @@ def weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -
     # Every weight adds each pair's terms in column order, the order in which
     # the left set first uses each location.  A1 picks among tied assignments
     # by the last bit, so this order is kept fixed.
-    alphabet = Alphabet.from_histogram_sets(left, right)
-    lrows = alphabet.pack(left)
-    rrows = alphabet.pack(right)
+    lrows, rrows = union_rows(left, right)
     if metric in (MetricKind.COSINE, MetricKind.DOT):
         dots = (lrows @ rrows.T).toarray()
         if metric is MetricKind.COSINE:
-            lnorm = np.array([_l2_norm(h.mass) for h in left.histograms])
-            rnorm = np.array([_l2_norm(h.mass) for h in right.histograms])
+            lnorm = np.sqrt(_row_fsums(lrows, lrows.data * lrows.data))
+            rnorm = np.sqrt(_row_fsums(rrows, rrows.data * rrows.data))
             w = 1.0 - dots / np.outer(lnorm, rnorm)
         else:
             w = 1.0 - dots
         np.clip(w, 0.0, 1.0, out=w)
         return w
 
-    lsums = np.array([math.fsum(h.mass.values()) for h in left.histograms])
-    rsums = np.array([math.fsum(h.mass.values()) for h in right.histograms])
+    lsums = _row_fsums(lrows, lrows.data)
+    rsums = _row_fsums(rrows, rrows.data)
 
     if metric is MetricKind.PROPOSED:
         w = LN2 * np.add.outer(lsums, rsums)

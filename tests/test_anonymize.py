@@ -1,7 +1,7 @@
 import itertools
 import math
 import tracemalloc
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Sequence
 
 import numpy as np
@@ -17,7 +17,7 @@ from histmatch.anonymize import (
 )
 from histmatch.core import Histogram, HistogramSet, build_histogram
 from histmatch.errors import HistmatchError, InvalidKError, PartitionCoverageError
-from histmatch.metrics import weight_l1
+from histmatch.metrics import MetricKind, weight_l1, weight_matrix
 from histmatch.synth import OverlapSpec, PopulationSpec, generate_pair, sample_population
 from tests.conftest import random_histogram_set
 
@@ -94,6 +94,11 @@ def _oracle_information_loss(partition: ClusterPartition, histograms: HistogramS
     if denominator == 0.0:
         return 0.0
     return numerator / denominator
+
+
+def _oracle_verify_k_anonymity(released: HistogramSet, k: int) -> bool:
+    counts = Counter(tuple(sorted(h.mass.items())) for h in released.histograms)
+    return all(c >= k for c in counts.values())
 
 
 def assert_matches_oracle(hset, k):
@@ -274,11 +279,44 @@ class TestKAnonymity:
         hset = random_histogram_set(rng, 5, 8)
         assert verify_k_anonymity(hset, 1)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_key_oracle(self, seed):
+        hset = synthetic_set(60, 200, 50, seed)
+        for k in (1, 2, 5, 6, 10):
+            _, released = microaggregate(hset, k)
+            for j in range(1, 2 * k + 1):
+                assert verify_k_anonymity(released, j) == _oracle_verify_k_anonymity(released, j)
+            # one member's entry moved by one ulp leaves that member alone
+            entries = list(released.entries)
+            owner, hist = entries[0]
+            loc, p = next(iter(hist.mass.items()))
+            entries[0] = (owner, Histogram.from_mass({**hist.mass, loc: math.nextafter(p, 2.0)}))
+            moved = HistogramSet(tuple(entries), labeled=False)
+            for j in range(1, 2 * k + 1):
+                assert verify_k_anonymity(moved, j) == _oracle_verify_k_anonymity(moved, j) == (j == 1)
+
     def test_checks_mass_not_sample_count(self):
-        a = Histogram(mass={"A": 1.0}, support_count=1, sample_count=5)
-        b = Histogram(mass={"A": 1.0}, support_count=1, sample_count=9)
+        a = Histogram(mass={"A": 1.0}, sample_count=5)
+        b = Histogram(mass={"A": 1.0}, sample_count=9)
         hset = HistogramSet((("u0", a), ("u1", b)), labeled=False)
         assert verify_k_anonymity(hset, 2)
+
+
+def test_kernels_leave_cached_rows_unchanged():
+    population = sample_population(PopulationSpec(40, 100, 1.0, 3))
+    left, right, _ = generate_pair(population, 60, 60, OverlapSpec.full(40), 3)
+    partition, released = microaggregate(left, 4)
+    sets = (left, right, released)
+    before = [[a.copy() for a in (s.rows.data, s.rows.indices, s.rows.indptr)] for s in sets]
+    microaggregate(left, 4)
+    information_loss(partition, left)
+    verify_k_anonymity(released, 4)
+    for metric in MetricKind:
+        weight_matrix(released, right, metric)
+        weight_matrix(right, left, metric)
+    for hset, arrays in zip(sets, before):
+        for got, want in zip((hset.rows.data, hset.rows.indices, hset.rows.indptr), arrays):
+            assert np.array_equal(got, want)
 
 
 class TestInformationLoss:

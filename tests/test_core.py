@@ -1,13 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from histmatch.core import (
     EARTH_RADIUS_M,
-    Alphabet,
     EventLog,
     EventRecord,
     GroundTruth,
@@ -20,12 +20,14 @@ from histmatch.core import (
     quantize_geo,
     split_by_period,
     suppress_and_renormalize,
+    union_rows,
 )
 from histmatch.errors import (
     EmptyStringError,
     InvalidCoordinateError,
     ZeroMassAfterSuppressionError,
 )
+from tests.conftest import random_histogram, random_histogram_set
 
 
 def log_of(*triples):
@@ -239,7 +241,7 @@ class TestTypes:
         with pytest.raises(ValueError):
             Histogram.from_mass({"A": 0.6, "B": 0.6})
         with pytest.raises(ValueError):
-            Histogram(mass={"A": 1.0}, support_count=2)
+            Histogram.from_mass({"A": 1.0, "B": math.nan})
 
     def test_mass_tolerance(self):
         Histogram.from_mass({"A": 0.5, "B": 0.5 + 5e-10})
@@ -259,15 +261,7 @@ class TestTypes:
         t = GroundTruth(mapping={"x1": "u1", "x2": "u2"})
         assert t.inverse == {"u1": "x1", "u2": "x2"}
 
-    def test_alphabet(self):
-        a = Alphabet.from_symbols(["x", "y", "x"])
-        assert a.symbols == ("x", "y")
-        assert a.size == 2
-        assert a.index("y") == 1
-        with pytest.raises(ValueError):
-            Alphabet(symbols=("x", "x"))
-
-    def test_alphabet_from_sets(self):
+    def test_locations_first_use_order(self):
         s = HistogramSet(
             entries=(
                 ("u1", Histogram.from_mass({"a": 0.5, "b": 0.5})),
@@ -275,4 +269,64 @@ class TestTypes:
             ),
             labeled=False,
         )
-        assert Alphabet.from_histogram_sets(s).symbols == ("a", "b", "c")
+        assert s.locations == ("a", "b", "c")
+
+
+def reference_pack(hset, locations):
+    """(indptr, indices, data) of a set's rows over ``locations``, packed
+    straight from the dicts with each row's columns ascending."""
+    column = dict(zip(locations, range(len(locations))))
+    indptr, indices, data = [0], [], []
+    for h in hset.histograms:
+        entries = sorted((column[loc], p) for loc, p in h.mass.items())
+        indices += [c for c, _ in entries]
+        data += [p for _, p in entries]
+        indptr.append(len(indices))
+    return indptr, indices, data
+
+
+def assert_packed(rows, hset, locations):
+    indptr, indices, data = reference_pack(hset, locations)
+    assert rows.shape == (len(hset), len(locations))
+    assert rows.indptr.tolist() == indptr
+    assert rows.indices.tolist() == indices
+    assert rows.data.tolist() == data
+
+
+def assert_union_packed(a, b):
+    locations = tuple(dict.fromkeys(loc for s in (a, b) for h in s.histograms for loc in h.mass))
+    first, second = union_rows(a, b)
+    assert_packed(first, a, locations)
+    assert_packed(second, b, locations)
+    assert np.shares_memory(first.data, a.rows.data) and np.shares_memory(first.indices, a.rows.indices)
+
+
+class TestPackedRows:
+    def test_rows_match_reference(self, rng):
+        hset = random_histogram_set(rng, 30, 40, max_support=8)
+        assert hset.locations == tuple(dict.fromkeys(loc for h in hset.histograms for loc in h.mass))
+        assert_packed(hset.rows, hset, hset.locations)
+        assert hset.rows is hset.rows
+
+    def test_union_seeded(self, rng):
+        for _ in range(5):
+            a = random_histogram_set(rng, 20, 30, max_support=8)
+            b = random_histogram_set(rng, 25, 50, max_support=8)
+            assert_union_packed(a, b)
+            assert_union_packed(b, a)
+
+    def test_union_disjoint(self, rng):
+        a = random_histogram_set(rng, 10, 20)
+        b = HistogramSet(tuple((f"v{i}", random_histogram(rng, 20, 4, prefix="M")) for i in range(12)), labeled=True)
+        assert_union_packed(a, b)
+        assert_union_packed(b, a)
+
+    def test_union_with_itself(self, rng):
+        a = random_histogram_set(rng, 15, 25, max_support=6)
+        assert_union_packed(a, a)
+
+    def test_rows_are_read_only(self, rng):
+        rows = random_histogram_set(rng, 5, 10).rows
+        for array in (rows.data, rows.indices, rows.indptr):
+            with pytest.raises(ValueError):
+                array[0] = array[0]

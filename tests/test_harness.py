@@ -336,6 +336,35 @@ class TestRunExperiment:
         with pytest.raises(HistmatchError, match=re.escape("expected 'lat,lon', got '39.9;116.3'")):
             run_experiment(cfg)
 
+    def test_event_log_read_once(self, tmp_path, monkeypatch):
+        from histmatch import io as hio
+
+        events = tmp_path / "gps.csv"
+        rows = [f'u{u},{t},"{39.9 + 0.01 * u},116.3"' for u in range(3) for t in (100, 1100)]
+        events.write_text("user,timestamp,location\n" + "\n".join(rows) + "\n")
+        calls = []
+        read = hio.read_event_log
+        monkeypatch.setattr(hio, "read_event_log", lambda path: calls.append(path) or read(path))
+        cfg = ExperimentConfig(
+            scenario="aggregate",
+            repetitions=3,
+            params={"event_log": str(events), "boundary": 1000, "cell_sides": [100.0, 100000.0]},
+        )
+        report = run_experiment(cfg)
+        assert len(report.rows) == 2
+        assert calls == [str(events)]
+
+    def test_kanon_packs_each_set_once(self, monkeypatch):
+        packed = []
+        pack = HistogramSet.rows.func
+        monkeypatch.setattr(HistogramSet.rows, "func", lambda hset: packed.append(hset) or pack(hset))
+        params = {"k_values": [3], "n_users": 30, "alphabet_size": 50, "t": 40}
+        for metrics in (["proposed"], ["proposed", "l1", "cosine", "dot"]):
+            packed.clear()
+            run_experiment(ExperimentConfig(scenario="kanon", metrics=metrics, repetitions=1, params=params))
+            # the left set, its cluster centroids, the released set and the right set
+            assert len(packed) == len({id(hset) for hset in packed}) == 4
+
     def test_aggregate_event_log_requires_fields(self, tmp_path):
         cfg = ExperimentConfig(
             scenario="aggregate",
