@@ -153,7 +153,6 @@ def microaggregate(histograms: HistogramSet, k: int) -> tuple[ClusterPartition, 
             centroid_by_index[i] = centroid
     released = HistogramSet(
         entries=tuple((owner, centroid_by_index[i]) for i, (owner, _) in enumerate(histograms.entries)),
-        labeled=histograms.labeled,
     )
     owners = histograms.owners
     partition = ClusterPartition(
@@ -202,7 +201,7 @@ def information_loss(partition: ClusterPartition, histograms: HistogramSet) -> f
     """
     if partition.owners() != set(histograms.owners):
         raise PartitionCoverageError("partition does not cover the histogram set's owners")
-    centroids = HistogramSet(tuple((str(q), c) for q, c in enumerate(partition.centroids)), labeled=False)
+    centroids = HistogramSet(tuple((str(q), c) for q, c in enumerate(partition.centroids)))
     rows, centers = union_rows(histograms, centroids)
     cluster_of = np.array([partition.cluster_of[owner] for owner in histograms.owners])
     numerator = math.fsum(_exact_l1(rows, centers, cluster_of))

@@ -61,16 +61,12 @@ def _cmd_ingest(args) -> int:
         log = log.__class__(records=tuple(records))
     first, second = split_by_period(log, args.boundary)
     active = filter_active_users(first, second)
-    left = histograms_by_user(first, labeled=False, users=active)
-    right = histograms_by_user(second, labeled=True, users=active)
+    left = histograms_by_user(first, users=active)
+    right = histograms_by_user(second, users=active)
     if args.aggregate_table:
         table = hio.read_aggregation_table(args.aggregate_table)
-        left = HistogramSet(
-            tuple((o, aggregate_locations(h, table)) for o, h in left.entries), left.labeled
-        )
-        right = HistogramSet(
-            tuple((o, aggregate_locations(h, table)) for o, h in right.entries), right.labeled
-        )
+        left = HistogramSet(tuple((o, aggregate_locations(h, table)) for o, h in left.entries))
+        right = HistogramSet(tuple((o, aggregate_locations(h, table)) for o, h in right.entries))
     hio.write_histogram_set(left, args.out_left)
     hio.write_histogram_set(right, args.out_right)
     print(json.dumps({
@@ -83,8 +79,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    left = hio.read_histogram_set(args.left, labeled=False)
-    right = hio.read_histogram_set(args.right, labeled=True)
+    left = hio.read_histogram_set(args.left)
+    right = hio.read_histogram_set(args.right)
     metric = MetricKind.from_token(args.metric)
     t0 = time.perf_counter()
     instance = build_instance(left, right, metric)
@@ -116,7 +112,7 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_anonymize(args) -> int:
-    histograms = hio.read_histogram_set(args.input, labeled=False)
+    histograms = hio.read_histogram_set(args.input)
     partition, released = microaggregate(histograms, args.k)
     loss = information_loss(partition, histograms)
     hio.write_histogram_set(released, args.out_released)

@@ -9,8 +9,8 @@ are pure functions.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping
@@ -54,9 +54,6 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.records)
 
-    def users(self) -> set[str]:
-        return {rec.user for rec in self.records}
-
 
 @dataclass(frozen=True)
 class Histogram:
@@ -93,12 +90,15 @@ class HistogramSet:
     """Ordered collection of (owner id, histogram) pairs."""
 
     entries: tuple[tuple[str, Histogram], ...]
-    labeled: bool
 
     def __post_init__(self):
         owners = [o for o, _ in self.entries]
         if len(set(owners)) != len(owners):
             raise ValueError("owner ids must be unique within a histogram set")
+
+    def __getstate__(self) -> dict:
+        """The fields only: an unpickled set rebuilds its caches, so ``rows`` stay read-only."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -186,9 +186,7 @@ def union_rows(first: HistogramSet, second: HistogramSet) -> tuple[csr_array, cs
 
 def build_histogram(events: Iterable[str]) -> Histogram:
     """Empirical distribution of a sequence of location ids (count / length)."""
-    counts: dict[str, int] = {}
-    for loc in events:
-        counts[loc] = counts.get(loc, 0) + 1
+    counts = Counter(events)
     t = sum(counts.values())
     if t == 0:
         raise EmptyStringError("cannot build a histogram from an empty sequence")
@@ -205,12 +203,10 @@ def split_by_period(log: EventLog, boundary: float) -> tuple[EventLog, EventLog]
 
 def filter_active_users(a: EventLog, b: EventLog) -> set[str]:
     """Users with at least one record in each of the two logs."""
-    return a.users() & b.users()
+    return {rec.user for rec in a.records} & {rec.user for rec in b.records}
 
 
-def histograms_by_user(
-    log: EventLog, labeled: bool, users: set[str] | None = None
-) -> HistogramSet:
+def histograms_by_user(log: EventLog, users: set[str] | None = None) -> HistogramSet:
     """Per-user histograms of an event log, optionally restricted to a user subset.
 
     Owners appear in sorted order so ingestion is reproducible.
@@ -220,7 +216,7 @@ def histograms_by_user(
         if users is None or rec.user in users:
             sequences[rec.user].append(rec.location)
     entries = tuple((u, build_histogram(sequences[u])) for u in sorted(sequences))
-    return HistogramSet(entries=entries, labeled=labeled)
+    return HistogramSet(entries=entries)
 
 
 def aggregate_locations(h: Histogram, mapping: Mapping[str, str]) -> Histogram:

@@ -9,9 +9,9 @@ owner's cluster centroid equals the true left owner's cluster centroid.
 ``run_experiment`` drives the standard protocols on synthetic populations:
 varying the number of users, varying string length, partial overlap (exact
 maximal matching vs. fixed-cardinality matching), location aggregation,
-suppression of unpopular locations, and micro-aggregation sweeps.  Every grid
-point is repeated with derived seeds and reported with a mean and a 90%
-bootstrap confidence interval.
+suppression of unpopular locations, and micro-aggregation sweeps.  Every
+synthetic grid point is repeated with derived seeds (an event log's grid point
+runs once) and reported with a mean and a 90% bootstrap confidence interval.
 """
 from __future__ import annotations
 
@@ -44,6 +44,9 @@ from .matcher import MatchResult, build_instance, match_cardinality, match_min_w
 from .metrics import MetricKind
 from .synth import GENERATOR_NAME, OverlapSpec, PopulationSpec, generate_pair, location_ids, sample_population, seeded_generator
 
+BOOTSTRAP_RESAMPLES = 1000
+BOOTSTRAP_CONFIDENCE = 0.90
+
 
 @dataclass
 class AccuracyReport:
@@ -53,12 +56,11 @@ class AccuracyReport:
     n_correct: int
     user_level_pct: float | None
     percentage_accuracy: float | None
-    cluster_level_pct: float | None = None
 
     def __post_init__(self):
         if self.n_correct > self.n_common:
             raise ValueError("more correct matches than common users")
-        for pct in (self.user_level_pct, self.percentage_accuracy, self.cluster_level_pct):
+        for pct in (self.user_level_pct, self.percentage_accuracy):
             if pct is not None and not 0.0 <= pct <= 100.0:
                 raise ValueError(f"percentage {pct!r} outside [0, 100]")
 
@@ -116,7 +118,7 @@ def cluster_level_accuracy(
 
 
 def bootstrap_ci(
-    values, confidence: float = 0.90, n_boot: int = 1000, seed: int = 0
+    values, confidence: float = BOOTSTRAP_CONFIDENCE, n_boot: int = BOOTSTRAP_RESAMPLES, seed: int = 0
 ) -> tuple[float, float]:
     """Percentile bootstrap confidence interval for the mean of ``values``."""
     arr = np.asarray([v for v in values if v is not None], dtype=float)
@@ -191,8 +193,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {"scenario", "metrics", "repetitions", "seed", "params", "workers"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "scenario" not in data:
@@ -334,7 +335,7 @@ def _aggregation_mapping(alphabet_size: int, groups: int, seed: int) -> dict[str
 
 
 def _aggregate_set(hset: HistogramSet, mapping: dict[str, str]) -> HistogramSet:
-    return HistogramSet(tuple((o, aggregate_locations(h, mapping)) for o, h in hset.entries), hset.labeled)
+    return HistogramSet(tuple((o, aggregate_locations(h, mapping)) for o, h in hset.entries))
 
 
 def _most_popular(hset: HistogramSet, size: int) -> set[str]:
@@ -365,8 +366,8 @@ def _suppress_sets(left, right, truth, keep: set[str]):
     kept = {a: b for a, b in truth.mapping.items() if a not in zero_left and b not in zero_right}
     drop_left = truth.mapping.keys() - kept.keys()
     drop_right = set(truth.mapping.values()) - set(kept.values())
-    left_out = HistogramSet(tuple((o, h) for o, h in new_left.items() if o not in drop_left), left.labeled)
-    right_out = HistogramSet(tuple((o, h) for o, h in new_right.items() if o not in drop_right), right.labeled)
+    left_out = HistogramSet(tuple((o, h) for o, h in new_left.items() if o not in drop_left))
+    right_out = HistogramSet(tuple((o, h) for o, h in new_right.items() if o not in drop_right))
     return left_out, right_out, GroundTruth(mapping=kept)
 
 
@@ -385,8 +386,8 @@ def _event_log_sets(log: EventLog, params: dict, cell_side: float):
     log = EventLog(records=tuple(records))
     first, second = split_by_period(log, params["boundary"])
     active = filter_active_users(first, second)
-    left = histograms_by_user(first, labeled=False, users=active)
-    right = histograms_by_user(second, labeled=True, users=active)
+    left = histograms_by_user(first, users=active)
+    right = histograms_by_user(second, users=active)
     truth = GroundTruth(mapping={u: u for u in left.owners})
     return left, right, truth
 
@@ -437,7 +438,7 @@ def _mean(values) -> float | None:
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentReport:
-    """Run every grid point of a scenario for the configured repetitions.
+    """Run every grid point of a scenario ``repetitions`` times, an event log's once.
 
     Returns the per-point means with 90% bootstrap confidence intervals on the
     user-level accuracy; when ``out_dir`` is given, also writes ``results.csv``
@@ -461,10 +462,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
 
         log = hio.read_event_log(event_log)
         observed = [_event_log_sets(log, params, float(value)) for value in values]
+    repetitions = 1 if event_log else config.repetitions  # observed sets never vary
 
     tasks = []
     for gi, value in enumerate(values):
-        for rep in range(config.repetitions):
+        for rep in range(repetitions):
             tasks.append(
                 (config.scenario, params, tuple(config.metrics), value,
                  _rep_seed(config.seed, gi, rep), config.seed, observed[gi])
@@ -477,7 +479,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
 
     rows: list[ExperimentRow] = []
     for gi, value in enumerate(values):
-        reps = outcomes[gi * config.repetitions : (gi + 1) * config.repetitions]
+        reps = outcomes[gi * repetitions : (gi + 1) * repetitions]
         for ki, key in enumerate(reps[0]):
             token, algorithm = key.split("|")
             series = [rep[key] for rep in reps]
@@ -490,7 +492,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
                     value=value,
                     metric=token,
                     algorithm=algorithm if algorithm != "a2" else f"a2({value})",
-                    repetitions=config.repetitions,
+                    repetitions=repetitions,
                     mean_user_level_pct=_mean(user_vals),
                     ci90_low=low,
                     ci90_high=high,
@@ -510,7 +512,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         "config": config.to_dict(),
         "resolved_params": params,
         "generator": GENERATOR_NAME,
-        "bootstrap": {"resamples": 1000, "confidence": 0.90},
+        "bootstrap": {"resamples": BOOTSTRAP_RESAMPLES, "confidence": BOOTSTRAP_CONFIDENCE},
         "version": __version__,
     }
     report = ExperimentReport(config=config, rows=rows, metadata=metadata)

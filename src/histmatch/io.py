@@ -19,7 +19,7 @@ import csv
 import json
 import math
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .anonymize import ClusterPartition
 from .core import (
@@ -44,7 +44,8 @@ HISTOGRAM_SUM_ATOL = 1e-6
 
 def _read_rows(path: str | Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield each non-empty row after a checked header with its physical line
-    number, one at a time, so a reader holds only what it keeps of the file."""
+    number, one at a time, so a reader holds only what it keeps of the file.
+    Every row has as many columns as the header."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -53,16 +54,22 @@ def _read_rows(path: str | Path, expected_header: list[str]) -> Iterator[tuple[i
             raise FileFormatError(f"{path}: empty file, expected header {expected_header}") from None
         if [h.strip() for h in header] != expected_header:
             raise FileFormatError(f"{path}: header {header!r} does not match {expected_header}")
-        for row in reader:
-            if row:
-                yield reader.line_num, row
+        for row in filter(None, reader):
+            if len(row) != len(expected_header):
+                raise FileFormatError(f"{path}:{reader.line_num}: expected {len(expected_header)} columns, got {len(row)}")
+            yield reader.line_num, row
+
+
+def _write_rows(path: str | Path, header: list[str], rows: Iterable) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_event_log(path: str | Path) -> EventLog:
     records = []
     for lineno, row in _read_rows(path, EVENT_HEADER):
-        if len(row) != 3:
-            raise FileFormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
         user, ts, location = (c.strip() for c in row)
         try:
             timestamp = int(ts)
@@ -74,26 +81,27 @@ def read_event_log(path: str | Path) -> EventLog:
     return EventLog(records=tuple(records))
 
 
-def read_aggregation_table(path: str | Path) -> dict[str, str]:
+def _read_pairs(path: str | Path, header: list[str], key_name: str) -> dict[str, str]:
+    """A two-column file as a map from its first column, which must not repeat."""
     mapping: dict[str, str] = {}
-    for lineno, row in _read_rows(path, AGGREGATION_HEADER):
-        if len(row) != 2:
-            raise FileFormatError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-        src, dst = (c.strip() for c in row)
-        if src in mapping:
-            raise FileFormatError(f"{path}:{lineno}: duplicate source location {src!r}")
-        mapping[src] = dst
+    for lineno, row in _read_rows(path, header):
+        key, value = (c.strip() for c in row)
+        if key in mapping:
+            raise FileFormatError(f"{path}:{lineno}: duplicate {key_name} {key!r}")
+        mapping[key] = value
     return mapping
 
 
-def read_histogram_set(path: str | Path, labeled: bool) -> HistogramSet:
+def read_aggregation_table(path: str | Path) -> dict[str, str]:
+    return _read_pairs(path, AGGREGATION_HEADER, "source location")
+
+
+def read_histogram_set(path: str | Path) -> HistogramSet:
     by_owner: dict[str, dict[str, float]] = {}
     # One string object per distinct location, shared by every owner's keys:
     # a set then keeps about half of what one string per row would cost.
     symbols: dict[str, str] = {}
     for lineno, row in _read_rows(path, HISTOGRAM_HEADER):
-        if len(row) != 3:
-            raise FileFormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
         owner, location, prob_text = row
         owner, location = owner.strip(), location.strip()
         location = symbols.setdefault(location, location)
@@ -119,44 +127,25 @@ def read_histogram_set(path: str | Path, labeled: bool) -> HistogramSet:
             mass = {loc: p / total for loc, p in mass.items()}
         # ``mass`` is built here and shared with nothing, so it is not copied.
         entries.append((owner, Histogram(mass=mass)))
-    return HistogramSet(entries=tuple(entries), labeled=labeled)
+    return HistogramSet(entries=tuple(entries))
 
 
 def write_histogram_set(hset: HistogramSet, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTOGRAM_HEADER)
-        for owner, hist in hset.entries:
-            for location, prob in hist.mass.items():
-                writer.writerow([owner, location, repr(prob)])
+    rows = ([owner, loc, repr(p)] for owner, hist in hset.entries for loc, p in hist.mass.items())
+    _write_rows(path, HISTOGRAM_HEADER, rows)
 
 
 def read_truth(path: str | Path) -> GroundTruth:
-    mapping: dict[str, str] = {}
-    for lineno, row in _read_rows(path, TRUTH_HEADER):
-        if len(row) != 2:
-            raise FileFormatError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-        left, right = (c.strip() for c in row)
-        if left in mapping:
-            raise FileFormatError(f"{path}:{lineno}: duplicate left owner {left!r}")
-        mapping[left] = right
-    return GroundTruth(mapping=mapping)
+    return GroundTruth(mapping=_read_pairs(path, TRUTH_HEADER, "left owner"))
 
 
 def write_truth(truth: GroundTruth, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_HEADER)
-        for left, right in truth.mapping.items():
-            writer.writerow([left, right])
+    _write_rows(path, TRUTH_HEADER, truth.mapping.items())
 
 
 def write_match_result(result: MatchResult, instance: BipartiteInstance, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MATCH_HEADER)
-        for i, j, weight in result.pairs:
-            writer.writerow([instance.left.owners[i], instance.right.owners[j], repr(weight)])
+    left, right = instance.left.owners, instance.right.owners
+    _write_rows(path, MATCH_HEADER, ([left[i], right[j], repr(w)] for i, j, w in result.pairs))
 
 
 def match_summary(result: MatchResult, runtime_ms: dict[str, float]) -> dict:

@@ -156,14 +156,9 @@ _PAIR_FUNCS = {
 }
 
 
-def pair_weight(kind: MetricKind, p, q) -> float:
-    """The metric's native value: a similarity for DOT, a distance otherwise."""
-    return _PAIR_FUNCS[kind](p, q)
-
-
 def pair_distance(kind: MetricKind, p, q) -> float:
     """Distance-oriented value; similarities are flipped so smaller is closer."""
-    value = pair_weight(kind, p, q)
+    value = _PAIR_FUNCS[kind](p, q)
     return 1.0 - value if kind.is_similarity else value
 
 

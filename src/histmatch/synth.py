@@ -93,19 +93,6 @@ def sample_population(spec: PopulationSpec) -> list[np.ndarray]:
     return out
 
 
-def _draw_histogram(
-    distribution: np.ndarray,
-    length: int,
-    ids: np.ndarray,
-    seed: int,
-    side_salt: int,
-    user: int,
-) -> Histogram:
-    rng = seeded_generator(seed, side_salt, user)
-    idx = rng.choice(len(distribution), size=length, p=distribution)
-    return build_histogram(ids[idx].tolist())
-
-
 def generate_pair(
     distributions: list[np.ndarray],
     t1: int,
@@ -128,45 +115,32 @@ def generate_pair(
         raise InvalidOverlapError(
             f"need {overlap.population_needed} users, population has {population}"
         )
-    m = len(distributions[0])
-    ids = np.array(location_ids(m), dtype=object)
+    ids = np.array(location_ids(len(distributions[0])), dtype=object)
 
+    def draw(user: int, length: int, side_salt: int) -> Histogram:
+        p = distributions[user]
+        idx = seeded_generator(seed, side_salt, user).choice(len(p), size=length, p=p)
+        return build_histogram(ids[idx].tolist())
+
+    # One permutation of the population: the left side takes its first n_left
+    # users, the right side its first r (the shared users) and the n_right - r
+    # after the left's.
     rng = seeded_generator(seed, _SALT_STRUCTURE)
-    chosen = rng.permutation(population)
-    shared = [int(u) for u in chosen[: overlap.r]]
-    n_left_only = overlap.n_left - overlap.r
-    left_only = [int(u) for u in chosen[overlap.r : overlap.r + n_left_only]]
-    right_only = [
-        int(u)
-        for u in chosen[overlap.r + n_left_only : overlap.r + n_left_only + overlap.n_right - overlap.r]
-    ]
-    left_users = shared + left_only
-    right_users = shared + right_only
+    chosen = rng.permutation(population).tolist()
+    right_users = chosen[: overlap.r] + chosen[overlap.n_left : overlap.population_needed]
+    right_entries = tuple((f"u{u:05d}", draw(u, t2, _SALT_RIGHT)) for u in right_users)
 
-    def label(user: int) -> str:
-        return f"u{user:05d}"
-
-    right_entries = tuple(
-        (label(u), _draw_histogram(distributions[u], t2, ids, seed, _SALT_RIGHT, u))
-        for u in right_users
-    )
-    left_hist = {
-        u: _draw_histogram(distributions[u], t1, ids, seed, _SALT_LEFT, u) for u in left_users
-    }
-
-    shuffle = rng.permutation(len(left_users))
-    shared_set = set(shared)
     left_entries = []
     truth: dict[str, str] = {}
-    for anon_pos, src_pos in enumerate(shuffle):
-        user = left_users[int(src_pos)]
+    for anon_pos, src_pos in enumerate(rng.permutation(overlap.n_left).tolist()):
+        user = chosen[src_pos]
         anon = f"x{anon_pos:05d}"
-        left_entries.append((anon, left_hist[user]))
-        if user in shared_set:
-            truth[anon] = label(user)
+        left_entries.append((anon, draw(user, t1, _SALT_LEFT)))
+        if src_pos < overlap.r:
+            truth[anon] = f"u{user:05d}"
 
     return (
-        HistogramSet(entries=tuple(left_entries), labeled=False),
-        HistogramSet(entries=right_entries, labeled=True),
+        HistogramSet(entries=tuple(left_entries)),
+        HistogramSet(entries=right_entries),
         GroundTruth(mapping=truth),
     )

@@ -21,12 +21,11 @@ def random_histogram(rng, alphabet_size, max_support=4, prefix="L"):
     )
 
 
-def random_histogram_set(rng, n, alphabet_size, labeled=False, max_support=4):
+def random_histogram_set(rng, n, alphabet_size, max_support=4):
     return HistogramSet(
         entries=tuple(
             (f"o{i:03d}", random_histogram(rng, alphabet_size, max_support)) for i in range(n)
         ),
-        labeled=labeled,
     )
 
 
@@ -35,10 +34,10 @@ def instance_from_matrix(matrix, metric=MetricKind.PROPOSED):
     w = np.asarray(matrix, dtype=float)
     n, m = w.shape
     left = HistogramSet(
-        tuple((f"l{i}", Histogram.from_mass({f"X{i}": 1.0})) for i in range(n)), labeled=False
+        tuple((f"l{i}", Histogram.from_mass({f"X{i}": 1.0})) for i in range(n))
     )
     right = HistogramSet(
-        tuple((f"r{j}", Histogram.from_mass({f"Y{j}": 1.0})) for j in range(m)), labeled=True
+        tuple((f"r{j}", Histogram.from_mass({f"Y{j}": 1.0})) for j in range(m))
     )
     return BipartiteInstance(left=left, right=right, metric=metric, weights=w)
 

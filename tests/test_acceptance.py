@@ -52,7 +52,7 @@ def test_criterion_1_a1_oracle_equivalence():
         n = int(rng.integers(2, 8))
         m_alpha = int(rng.integers(2, 7))
         left = random_histogram_set(rng, n, m_alpha)
-        right = random_histogram_set(rng, n, m_alpha, labeled=True)
+        right = random_histogram_set(rng, n, m_alpha)
         for metric in MetricKind:
             inst = build_instance(left, right, metric)
             gap = abs(
@@ -79,7 +79,7 @@ def test_criterion_2_a2_oracle_equivalence():
         m = int(rng.integers(2, 8))
         m_alpha = int(rng.integers(2, 7))
         left = random_histogram_set(rng, n, m_alpha)
-        right = random_histogram_set(rng, m, m_alpha, labeled=True)
+        right = random_histogram_set(rng, m, m_alpha)
         inst = build_instance(left, right, MetricKind.PROPOSED)
         for r in range(1, min(n, m) + 1):
             gap = abs(
@@ -103,7 +103,7 @@ def test_criterion_3_likelihood_equivalence():
     agreements = 0
     for _ in range(100):
         left = random_histogram_set(rng, 4, 6)
-        right = random_histogram_set(rng, 4, 6, labeled=True)
+        right = random_histogram_set(rng, 4, 6)
         inst = build_instance(left, right, MetricKind.PROPOSED)
         w = inst.weights
         scored = []
@@ -185,8 +185,8 @@ def test_criterion_5_optional_geolife_reproduction():
         )
     from histmatch import io as hio
 
-    left = hio.read_histogram_set(left_path, labeled=False)
-    right = hio.read_histogram_set(right_path, labeled=True)
+    left = hio.read_histogram_set(left_path)
+    right = hio.read_histogram_set(right_path)
     truth = hio.read_truth(truth_path)
     inst = build_instance(left, right, MetricKind.PROPOSED)
     res = match_min_weight(inst)
@@ -317,10 +317,10 @@ def test_criterion_9_performance():
 
     users = [sparse_user() for _ in range(1000)]
     left = HistogramSet(
-        tuple((f"x{i}", draw(*users[i])) for i in range(1000)), labeled=False
+        tuple((f"x{i}", draw(*users[i])) for i in range(1000))
     )
     right = HistogramSet(
-        tuple((f"u{i}", draw(*users[i])) for i in range(1000)), labeled=True
+        tuple((f"u{i}", draw(*users[i])) for i in range(1000))
     )
     mean_support = np.mean([h.support_count for h in left.histograms])
 

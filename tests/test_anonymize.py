@@ -24,9 +24,9 @@ from tests.conftest import random_histogram_set
 H = Histogram.from_mass
 
 
-def hist_set(masses, labeled=False):
+def hist_set(masses):
     return HistogramSet(
-        tuple((f"u{i}", H(m)) for i, m in enumerate(masses)), labeled=labeled
+        tuple((f"u{i}", H(m)) for i, m in enumerate(masses))
     )
 
 
@@ -71,7 +71,6 @@ def _oracle_microaggregate(histograms: HistogramSet, k: int) -> tuple[ClusterPar
             centroid_by_index[i] = centroid
     released = HistogramSet(
         entries=tuple((owner, centroid_by_index[i]) for i, (owner, _) in enumerate(histograms.entries)),
-        labeled=histograms.labeled,
     )
     owners = histograms.owners
     partition = ClusterPartition(
@@ -133,7 +132,7 @@ class TestMatchesOracle:
     def test_duplicated_histograms(self, rng):
         distinct = random_histogram_set(rng, 4, 10)
         hset = HistogramSet(
-            tuple((f"u{i}", distinct.histograms[i % 4]) for i in range(14)), labeled=False
+            tuple((f"u{i}", distinct.histograms[i % 4]) for i in range(14))
         )
         for k in (1, 2, 3, 5, 7, 14):
             assert_matches_oracle(hset, k)
@@ -159,7 +158,7 @@ class TestMatchesOracle:
     )
     def test_property_small_count_sets(self, sequences, data):
         hset = HistogramSet(
-            tuple((f"u{i}", build_histogram(seq)) for i, seq in enumerate(sequences)), labeled=False
+            tuple((f"u{i}", build_histogram(seq)) for i, seq in enumerate(sequences))
         )
         assert_matches_oracle(hset, data.draw(st.integers(1, len(hset))))
 
@@ -247,7 +246,7 @@ class TestMicroaggregate:
             locs = [f"L{4 * i + j}" for j in range(4)] + [f"S{j}" for j in rng.choice(10, 4, replace=False)]
             return f"u{i}", H(dict(zip(locs, rng.dirichlet(np.ones(8)))))
 
-        hset = HistogramSet(tuple(owner(i) for i in range(n)), labeled=False)
+        hset = HistogramSet(tuple(owner(i) for i in range(n)))
         tracemalloc.start()
         try:
             microaggregate(hset, 2)
@@ -291,14 +290,14 @@ class TestKAnonymity:
             owner, hist = entries[0]
             loc, p = next(iter(hist.mass.items()))
             entries[0] = (owner, Histogram.from_mass({**hist.mass, loc: math.nextafter(p, 2.0)}))
-            moved = HistogramSet(tuple(entries), labeled=False)
+            moved = HistogramSet(tuple(entries))
             for j in range(1, 2 * k + 1):
                 assert verify_k_anonymity(moved, j) == _oracle_verify_k_anonymity(moved, j) == (j == 1)
 
     def test_checks_mass_not_sample_count(self):
         a = Histogram(mass={"A": 1.0}, sample_count=5)
         b = Histogram(mass={"A": 1.0}, sample_count=9)
-        hset = HistogramSet((("u0", a), ("u1", b)), labeled=False)
+        hset = HistogramSet((("u0", a), ("u1", b)))
         assert verify_k_anonymity(hset, 2)
 
 

@@ -43,8 +43,8 @@ def synth_files(tmp_path, capsys):
 class TestSynthCommand:
     def test_outputs(self, synth_files):
         left, right, truth, meta = synth_files
-        lset = hio.read_histogram_set(left, labeled=False)
-        rset = hio.read_histogram_set(right, labeled=True)
+        lset = hio.read_histogram_set(left)
+        rset = hio.read_histogram_set(right)
         t = hio.read_truth(truth)
         assert len(lset) == len(rset) == len(t) == 12
         data = json.loads(meta.read_text())
@@ -169,7 +169,7 @@ class TestAnonymizeCommand:
         stats = json.loads(out)
         assert stats["k"] >= 3
         assert 0.0 <= stats["L"] <= 1.0
-        rel = hio.read_histogram_set(released, labeled=False)
+        rel = hio.read_histogram_set(released)
         assert len(rel) == 12
         part = json.loads(partition.read_text())
         assert sum(len(c) for c in part["clusters"]) == 12
@@ -209,8 +209,8 @@ class TestIngestCommand:
         assert code == 0, err
         info = json.loads(out)
         assert info["active_users"] == 2
-        lset = hio.read_histogram_set(left, labeled=False)
-        rset = hio.read_histogram_set(right, labeled=True)
+        lset = hio.read_histogram_set(left)
+        rset = hio.read_histogram_set(right)
         assert set(lset.owners) == {"u1", "u2"}
         assert lset.histogram("u1").mass == {"a": 0.5, "b": 0.5}
         assert rset.histogram("u1").mass == {"a": 1.0}
@@ -237,8 +237,8 @@ class TestIngestCommand:
             "--geo-origin", f"{origin[0]},{origin[1]}",
         )
         assert code == 0, err
-        lset = hio.read_histogram_set(left, labeled=False)
-        rset = hio.read_histogram_set(right, labeled=True)
+        lset = hio.read_histogram_set(left)
+        rset = hio.read_histogram_set(right)
         assert lset.histogram("u1").mass == {"0:0": 1.0}
         assert rset.histogram("u1").mass == {"1:0": 1.0}
 
@@ -274,7 +274,7 @@ class TestIngestCommand:
             "--aggregate-table", str(table),
         )
         assert code == 0, err
-        lset = hio.read_histogram_set(left, labeled=False)
+        lset = hio.read_histogram_set(left)
         assert lset.histogram("u1").mass == {"X": 1.0}
 
 

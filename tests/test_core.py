@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import numpy as np
@@ -114,10 +115,10 @@ class TestSplitAndFilter:
 
     def test_histograms_by_user(self):
         log = log_of(("u1", 1, "a"), ("u1", 2, "a"), ("u1", 3, "b"), ("u2", 4, "c"))
-        hset = histograms_by_user(log, labeled=True)
+        hset = histograms_by_user(log)
         assert hset.owners == ("u1", "u2")
         assert hset.histogram("u1").mass == {"a": 2 / 3, "b": 1 / 3}
-        restricted = histograms_by_user(log, labeled=False, users={"u2"})
+        restricted = histograms_by_user(log, users={"u2"})
         assert restricted.owners == ("u2",)
 
 
@@ -253,7 +254,7 @@ class TestTypes:
     def test_histogram_set_unique_owners(self):
         h = Histogram.from_mass({"A": 1.0})
         with pytest.raises(ValueError):
-            HistogramSet(entries=(("u", h), ("u", h)), labeled=False)
+            HistogramSet(entries=(("u", h), ("u", h)))
 
     def test_ground_truth_injective(self):
         with pytest.raises(ValueError):
@@ -267,7 +268,6 @@ class TestTypes:
                 ("u1", Histogram.from_mass({"a": 0.5, "b": 0.5})),
                 ("u2", Histogram.from_mass({"c": 1.0})),
             ),
-            labeled=False,
         )
         assert s.locations == ("a", "b", "c")
 
@@ -317,7 +317,7 @@ class TestPackedRows:
 
     def test_union_disjoint(self, rng):
         a = random_histogram_set(rng, 10, 20)
-        b = HistogramSet(tuple((f"v{i}", random_histogram(rng, 20, 4, prefix="M")) for i in range(12)), labeled=True)
+        b = HistogramSet(tuple((f"v{i}", random_histogram(rng, 20, 4, prefix="M")) for i in range(12)))
         assert_union_packed(a, b)
         assert_union_packed(b, a)
 
@@ -330,3 +330,13 @@ class TestPackedRows:
         for array in (rows.data, rows.indices, rows.indptr):
             with pytest.raises(ValueError):
                 array[0] = array[0]
+
+    def test_pickled_rows_stay_read_only(self, rng):
+        hset = random_histogram_set(rng, 8, 12)
+        rows = hset.rows
+        loaded = pickle.loads(pickle.dumps(hset))
+        assert loaded.locations == hset.locations
+        for name in ("data", "indices", "indptr"):
+            array = getattr(loaded.rows, name)
+            assert not array.flags.writeable
+            assert np.array_equal(array, getattr(rows, name))

@@ -22,8 +22,8 @@ H = Histogram.from_mass
 
 
 def point_sets(n):
-    left = HistogramSet(tuple((f"x{i}", H({f"L{i}": 1.0})) for i in range(n)), labeled=False)
-    right = HistogramSet(tuple((f"u{i}", H({f"L{i}": 1.0})) for i in range(n)), labeled=True)
+    left = HistogramSet(tuple((f"x{i}", H({f"L{i}": 1.0})) for i in range(n)))
+    right = HistogramSet(tuple((f"u{i}", H({f"L{i}": 1.0})) for i in range(n)))
     truth = GroundTruth({f"x{i}": f"u{i}" for i in range(n)})
     return left, right, truth
 
@@ -61,8 +61,8 @@ class TestUserLevelAccuracy:
     def test_partial_matching_denominators(self):
         # 3750 common users, matching of size 3750, 1340 agree -> 35.7%
         n = 5000
-        left = HistogramSet(tuple((f"x{i}", H({f"L{i}": 1.0})) for i in range(n)), labeled=False)
-        right = HistogramSet(tuple((f"u{i}", H({f"L{i}": 1.0})) for i in range(n)), labeled=True)
+        left = HistogramSet(tuple((f"x{i}", H({f"L{i}": 1.0})) for i in range(n)))
+        right = HistogramSet(tuple((f"u{i}", H({f"L{i}": 1.0})) for i in range(n)))
         truth = GroundTruth({f"x{i}": f"u{i}" for i in range(3750)})
         mapping = {i: i for i in range(1340)}  # correct pairs
         mapping.update({i: i + 1000 for i in range(1500, 3910)})  # 2410 wrong pairs
@@ -336,12 +336,17 @@ class TestRunExperiment:
         with pytest.raises(HistmatchError, match=re.escape("expected 'lat,lon', got '39.9;116.3'")):
             run_experiment(cfg)
 
-    def test_event_log_read_once(self, tmp_path, monkeypatch):
-        from histmatch import io as hio
-
+    @staticmethod
+    def _small_gps_log(tmp_path):
         events = tmp_path / "gps.csv"
         rows = [f'u{u},{t},"{39.9 + 0.01 * u},116.3"' for u in range(3) for t in (100, 1100)]
         events.write_text("user,timestamp,location\n" + "\n".join(rows) + "\n")
+        return events
+
+    def test_event_log_read_once(self, tmp_path, monkeypatch):
+        from histmatch import io as hio
+
+        events = self._small_gps_log(tmp_path)
         calls = []
         read = hio.read_event_log
         monkeypatch.setattr(hio, "read_event_log", lambda path: calls.append(path) or read(path))
@@ -353,6 +358,21 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert len(report.rows) == 2
         assert calls == [str(events)]
+
+    def test_event_log_solved_once_per_cell_side(self, tmp_path, monkeypatch):
+        from histmatch import harness
+
+        events = self._small_gps_log(tmp_path)
+        params = {"event_log": str(events), "boundary": 1000, "cell_sides": [100.0, 100000.0]}
+        once = run_experiment(ExperimentConfig(scenario="aggregate", repetitions=1, params=params))
+        calls = []
+        solve = harness._solve_all
+        monkeypatch.setattr(harness, "_solve_all", lambda *args, **kw: calls.append(args) or solve(*args, **kw))
+        report = run_experiment(ExperimentConfig(scenario="aggregate", repetitions=3, params=params))
+        # an observed instance is the same in every repetition, so each cell side is solved once
+        assert len(calls) == 2
+        assert self._strip_timings(report.rows) == self._strip_timings(once.rows)
+        assert all(row.repetitions == 1 for row in report.rows)
 
     def test_kanon_packs_each_set_once(self, monkeypatch):
         packed = []

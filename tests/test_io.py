@@ -66,10 +66,10 @@ class TestAggregationTable:
 
 class TestHistogramSet:
     def test_roundtrip_exact(self, tmp_path, rng):
-        hset = random_histogram_set(rng, 6, 10, labeled=True)
+        hset = random_histogram_set(rng, 6, 10)
         path = tmp_path / "h.csv"
         hio.write_histogram_set(hset, path)
-        loaded = hio.read_histogram_set(path, labeled=True)
+        loaded = hio.read_histogram_set(path)
         assert loaded.owners == hset.owners
         for a, b in zip(loaded.histograms, hset.histograms):
             assert a.mass == b.mass
@@ -77,7 +77,7 @@ class TestHistogramSet:
     def test_sum_tolerance_renormalizes(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("owner,location,probability\nu1,a,0.5000001\nu1,b,0.5\n")
-        loaded = hio.read_histogram_set(path, labeled=False)
+        loaded = hio.read_histogram_set(path)
         mass = loaded.histogram("u1").mass
         assert abs(sum(mass.values()) - 1.0) <= 1e-9
 
@@ -85,19 +85,19 @@ class TestHistogramSet:
         path = tmp_path / "h.csv"
         path.write_text("owner,location,probability\nu1,a,0.6\nu1,b,0.5\n")
         with pytest.raises(FileFormatError):
-            hio.read_histogram_set(path, labeled=False)
+            hio.read_histogram_set(path)
 
     def test_duplicate_cell(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("owner,location,probability\nu1,a,0.5\nu1,a,0.5\n")
         with pytest.raises(FileFormatError):
-            hio.read_histogram_set(path, labeled=False)
+            hio.read_histogram_set(path)
 
     def test_nonpositive_probability(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("owner,location,probability\nu1,a,0.0\nu1,b,1.0\n")
         with pytest.raises(FileFormatError):
-            hio.read_histogram_set(path, labeled=False)
+            hio.read_histogram_set(path)
 
     @pytest.mark.parametrize(
         "row, message",
@@ -113,19 +113,19 @@ class TestHistogramSet:
         path = tmp_path / "h.csv"
         path.write_text(f"owner,location,probability\nu1,a,0.5\n{row}\n")
         with pytest.raises(FileFormatError, match="^" + re.escape(f"{path}{message}")):
-            hio.read_histogram_set(path, labeled=False)
+            hio.read_histogram_set(path)
 
     def test_line_numbers_skip_blank_lines(self, tmp_path):
         # Blank lines are skipped, but a row keeps its physical line number.
         path = tmp_path / "h.csv"
         path.write_text("owner,location,probability\nu1,a,0.5\n\n\nu1,b,oops\n")
         with pytest.raises(FileFormatError, match="^" + re.escape(f"{path}:5: probability 'oops'")):
-            hio.read_histogram_set(path, labeled=False)
+            hio.read_histogram_set(path)
 
     def test_ungrouped_owner_rows_merge(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("owner,location,probability\nu1,a,0.25\nu2,c,1.0\nu1,b,0.75\n")
-        loaded = hio.read_histogram_set(path, labeled=True)
+        loaded = hio.read_histogram_set(path)
         assert loaded.owners == ("u1", "u2")
         assert list(loaded.histogram("u1").mass.items()) == [("a", 0.25), ("b", 0.75)]
         assert loaded.histogram("u2").mass == {"c": 1.0}
@@ -133,19 +133,19 @@ class TestHistogramSet:
     def test_owners_share_location_strings(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("owner,location,probability\nu1,cell-17,0.5\nu1,cell-4,0.5\nu2,cell-17,1.0\n")
-        loaded = hio.read_histogram_set(path, labeled=False)
+        loaded = hio.read_histogram_set(path)
         assert next(iter(loaded.histogram("u1").mass)) is next(iter(loaded.histogram("u2").mass))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("")
         with pytest.raises(FileFormatError, match="empty file"):
-            hio.read_histogram_set(path, labeled=False)
+            hio.read_histogram_set(path)
 
     def test_header_only_is_empty_set(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("owner,location,probability\n")
-        assert hio.read_histogram_set(path, labeled=False).entries == ()
+        assert hio.read_histogram_set(path).entries == ()
 
     def test_peak_memory_near_result_size(self, tmp_path, rng):
         # 60 owners x 80 locations: 4800 rows.  Holding every parsed row at
@@ -155,14 +155,13 @@ class TestHistogramSet:
                 (f"o{i:03d}", H({f"L{j}": float(p) for j, p in enumerate(row)}))
                 for i, row in enumerate(rng.dirichlet(np.ones(80), size=60))
             ),
-            labeled=False,
         )
         path = tmp_path / "h.csv"
         hio.write_histogram_set(hset, path)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            loaded = hio.read_histogram_set(path, labeled=False)
+            loaded = hio.read_histogram_set(path)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -187,7 +186,7 @@ class TestTruth:
 class TestMatchFiles:
     def test_pairs_and_summary(self, tmp_path, rng):
         left = random_histogram_set(rng, 3, 6)
-        right = random_histogram_set(rng, 4, 6, labeled=True)
+        right = random_histogram_set(rng, 4, 6)
         inst = build_instance(left, right, MetricKind.PROPOSED)
         res = match_min_weight(inst)
         pairs_path = tmp_path / "pairs.csv"

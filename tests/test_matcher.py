@@ -29,7 +29,6 @@ H = Histogram.from_mass
 def point_set(symbols, labeled=False):
     return HistogramSet(
         tuple((f"{'r' if labeled else 'l'}{i}", H({s: 1.0})) for i, s in enumerate(symbols)),
-        labeled=labeled,
     )
 
 
@@ -51,8 +50,8 @@ class TestBuildInstance:
 
     def test_dot_stored_as_distance(self, rng):
         p = H({"A": 0.5, "B": 0.5})
-        left = HistogramSet((("l0", p),), labeled=False)
-        right = HistogramSet((("r0", p),), labeled=True)
+        left = HistogramSet((("l0", p),))
+        right = HistogramSet((("r0", p),))
         inst = build_instance(left, right, MetricKind.DOT)
         dot = sum(v * v for v in p.mass.values())
         assert inst.weights[0, 0] == pytest.approx(1.0 - dot, abs=1e-12)
@@ -60,15 +59,15 @@ class TestBuildInstance:
     def test_weights_in_metric_range(self, rng):
         for metric in MetricKind:
             left = random_histogram_set(rng, 6, 5)
-            right = random_histogram_set(rng, 7, 5, labeled=True)
+            right = random_histogram_set(rng, 7, 5)
             inst = build_instance(left, right, metric)
             assert inst.weights.min() >= 0.0
             assert inst.weights.max() <= metric.max_distance
 
     def test_empty_rejected(self, rng):
-        right = random_histogram_set(rng, 2, 5, labeled=True)
+        right = random_histogram_set(rng, 2, 5)
         with pytest.raises(ValueError):
-            build_instance(HistogramSet((), labeled=False), right, MetricKind.L1)
+            build_instance(HistogramSet(()), right, MetricKind.L1)
 
 
 class TestMatchMinWeight:
@@ -111,7 +110,7 @@ class TestMatchMinWeight:
             m = int(rng.integers(n, 8))
             metric = list(MetricKind)[int(rng.integers(0, 4))]
             left = random_histogram_set(rng, n, 6)
-            right = random_histogram_set(rng, m, 6, labeled=True)
+            right = random_histogram_set(rng, m, 6)
             inst = build_instance(left, right, metric)
             a1 = match_min_weight(inst)
             oracle = match_bruteforce(inst)
@@ -155,7 +154,7 @@ class TestMatchCardinality:
             n = int(rng.integers(1, 7))
             m = int(rng.integers(1, 7))
             left = random_histogram_set(rng, n, 6)
-            right = random_histogram_set(rng, m, 6, labeled=True)
+            right = random_histogram_set(rng, m, 6)
             instances.append(build_instance(left, right, MetricKind.PROPOSED))
         # arbitrary finite weights: negative entries, integer-rounded ties, and
         # ties at a scale where min(weights) - 1 rounds back to min(weights)
@@ -251,7 +250,7 @@ class TestGeneralizedLogLikelihood:
 
     def test_metric_mismatch(self, rng):
         left = random_histogram_set(rng, 2, 4)
-        right = random_histogram_set(rng, 2, 4, labeled=True)
+        right = random_histogram_set(rng, 2, 4)
         inst = build_instance(left, right, MetricKind.L1)
         res = match_min_weight(inst)
         with pytest.raises(MetricMismatchError):
@@ -259,7 +258,7 @@ class TestGeneralizedLogLikelihood:
 
     def test_linear_in_sample_count(self, rng):
         left = random_histogram_set(rng, 3, 5)
-        right = random_histogram_set(rng, 3, 5, labeled=True)
+        right = random_histogram_set(rng, 3, 5)
         inst = build_instance(left, right, MetricKind.PROPOSED)
         res = match_min_weight(inst)
         base = generalized_log_likelihood(inst, res, 7)
@@ -271,7 +270,7 @@ class TestGeneralizedLogLikelihood:
         # match ranking by total weight (ascending)
         for trial in range(30):
             left = random_histogram_set(rng, 4, 6)
-            right = random_histogram_set(rng, 4, 6, labeled=True)
+            right = random_histogram_set(rng, 4, 6)
             inst = build_instance(left, right, MetricKind.PROPOSED)
             w = inst.weights
             results = []

@@ -94,8 +94,8 @@ def assert_matches_oracle(left, right):
                 assert abs(w[i, j] - pair_distance(metric, p, q)) <= 1e-9
 
 
-def as_set(masses, labeled=False):
-    return HistogramSet(tuple((f"o{i}", H(m)) for i, m in enumerate(masses)), labeled=labeled)
+def as_set(masses):
+    return HistogramSet(tuple((f"o{i}", H(m)) for i, m in enumerate(masses)))
 
 
 @st.composite
@@ -279,7 +279,7 @@ class TestWeightMatrix:
         for _ in range(25):
             n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             left = random_histogram_set(rng, n, 6)
-            right = random_histogram_set(rng, m, 6, labeled=True)
+            right = random_histogram_set(rng, m, 6)
             w = weight_matrix(left, right, metric)
             assert w.shape == (n, m)
             for i, p in enumerate(left.histograms):
@@ -288,7 +288,7 @@ class TestWeightMatrix:
 
     def test_large_sparse_matches_pairwise(self, rng):
         left = random_histogram_set(rng, 40, 50, max_support=3)
-        right = random_histogram_set(rng, 35, 50, labeled=True, max_support=3)
+        right = random_histogram_set(rng, 35, 50, max_support=3)
         w = weight_matrix(left, right, MetricKind.PROPOSED)
         probe = np.array(
             [
@@ -316,7 +316,7 @@ class TestWeightMatrix:
         population = sample_population(PopulationSpec(30, 80, 1.0, 6))
         left, right, _ = generate_pair(population, 100, 100, OverlapSpec.full(30), 6)
         cases = [(microaggregate(left, 5)[1], right)]
-        cases += [(random_histogram_set(rng, 9, 12, max_support=8), random_histogram_set(rng, 7, 12, True, 8))]
+        cases += [(random_histogram_set(rng, 9, 12, max_support=8), random_histogram_set(rng, 7, 12, max_support=8))]
         for lset, rset in cases:
             dots = np.zeros((len(lset), len(rset)))
             index = {o: j for j, o in enumerate(rset.owners)}
@@ -338,7 +338,7 @@ class TestWeightMatrixMatchesOracle:
         for _ in range(60):
             alphabet_size = int(rng.integers(1, 40))
             left = random_histogram_set(rng, int(rng.integers(1, 12)), alphabet_size, max_support=10)
-            right = random_histogram_set(rng, int(rng.integers(1, 12)), alphabet_size, True, 10)
+            right = random_histogram_set(rng, int(rng.integers(1, 12)), alphabet_size, 10)
             assert_matches_oracle(left, right)
 
     def test_generated_pair(self):
@@ -365,4 +365,4 @@ class TestWeightMatrixMatchesOracle:
             ]
         else:
             right_masses = data.draw(st.lists(histogram_masses("PQRSTUVW"), min_size=1, max_size=6))
-        assert_matches_oracle(as_set(left_masses), as_set(right_masses, labeled=True))
+        assert_matches_oracle(as_set(left_masses), as_set(right_masses))

@@ -72,8 +72,8 @@ class TestGeneratePair:
     def test_shapes_and_truth(self):
         pop = sample_population(PopulationSpec(13, 20, 0.2, seed=3))
         left, right, truth = generate_pair(pop, 50, 60, OverlapSpec(8, 10, 5), seed=4)
-        assert len(left) == 8 and not left.labeled
-        assert len(right) == 10 and right.labeled
+        assert len(left) == 8
+        assert len(right) == 10
         assert len(truth) == 5
         assert set(truth.mapping).issubset(set(left.owners))
         assert set(truth.mapping.values()).issubset(set(right.owners))
