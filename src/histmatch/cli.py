@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 from . import io as hio
 from .anonymize import information_loss, microaggregate
@@ -53,12 +54,8 @@ def _cmd_ingest(args) -> int:
     log = hio.read_event_log(args.events)
     if args.geo_grid is not None:
         origin = parse_latlon(args.geo_origin)
-        records = []
-        for rec in log.records:
-            lat, lon = parse_latlon(rec.location)
-            key = quantize_geo(lat, lon, args.geo_grid, origin)
-            records.append(rec.__class__(user=rec.user, timestamp=rec.timestamp, location=key))
-        log = log.__class__(records=tuple(records))
+        cells = tuple(quantize_geo(*parse_latlon(loc), args.geo_grid, origin) for loc in log.locations)
+        log = replace(log, locations=cells)
     first, second = split_by_period(log, args.boundary)
     active = filter_active_users(first, second)
     left = histograms_by_user(first, users=active)
@@ -79,34 +76,31 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_match(args) -> int:
+    name, colon, r_text = args.algorithm.lower().partition(":")
+    solvers = {"a1": match_min_weight, "a2:": match_cardinality, "greedy": match_greedy,
+               "brute": match_bruteforce, "brute:": match_bruteforce}
+    solve = solvers.get(name + colon)
+    try:
+        extra = (int(r_text),) if colon else ()
+    except ValueError:
+        solve = None
+    if solve is None:
+        _emit_error("usage", f"unknown algorithm {args.algorithm!r}; use a1, a2:<r>, greedy or brute")
+        return 2
     left = hio.read_histogram_set(args.left)
     right = hio.read_histogram_set(args.right)
     metric = MetricKind.from_token(args.metric)
     t0 = time.perf_counter()
     instance = build_instance(left, right, metric)
     t1 = time.perf_counter()
-
-    spec = args.algorithm.lower()
-    if spec == "a1":
-        result = match_min_weight(instance)
-    elif spec.startswith("a2:"):
-        result = match_cardinality(instance, int(spec.split(":", 1)[1]))
-    elif spec == "greedy":
-        result = match_greedy(instance)
-    elif spec == "brute":
-        result = match_bruteforce(instance)
-    elif spec.startswith("brute:"):
-        result = match_bruteforce(instance, int(spec.split(":", 1)[1]))
-    else:
-        _emit_error("usage", f"unknown algorithm {args.algorithm!r}; use a1, a2:<r>, greedy or brute")
-        return 2
+    result = solve(instance, *extra)
     t2 = time.perf_counter()
 
     runtime_ms = {"weights": 1000.0 * (t1 - t0), "solve": 1000.0 * (t2 - t1)}
     hio.write_match_result(result, instance, args.out_pairs)
     summary = hio.match_summary(result, runtime_ms)
     if args.out_summary:
-        hio.write_match_summary(result, runtime_ms, args.out_summary)
+        hio.write_json(summary, args.out_summary)
     print(json.dumps(summary))
     return 0
 
@@ -153,9 +147,7 @@ def _cmd_synth(args) -> int:
         "generator": GENERATOR_NAME,
     }
     if args.out_meta:
-        with open(args.out_meta, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2)
-            fh.write("\n")
+        hio.write_json(meta, args.out_meta)
     print(json.dumps(meta))
     return 0
 

@@ -12,7 +12,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -33,26 +33,23 @@ EARTH_RADIUS_M = 6_371_000.0
 
 
 @dataclass(frozen=True)
-class EventRecord:
-    """One timestamped observation of a user at a location."""
+class EventLog:
+    """Timestamped observations of users at locations, as three parallel
+    columns: event i is ``users[i]`` at ``locations[i]`` at ``timestamps[i]``
+    (seconds since the epoch, UTC).  Ordering carries no meaning."""
 
-    user: str
-    timestamp: float  # seconds since the epoch, UTC
-    location: str
+    users: tuple[str, ...]
+    timestamps: tuple[float, ...]
+    locations: tuple[str, ...]
 
     def __post_init__(self):
-        if self.timestamp < 0:
-            raise ValueError(f"negative timestamp {self.timestamp!r}")
-
-
-@dataclass(frozen=True)
-class EventLog:
-    """A sequence of event records; ordering carries no meaning."""
-
-    records: tuple[EventRecord, ...]
+        if not len(self.users) == len(self.timestamps) == len(self.locations):
+            raise ValueError("event log columns differ in length")
+        if self.timestamps and min(self.timestamps) < 0:
+            raise ValueError(f"negative timestamp {min(self.timestamps)!r}")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.users)
 
 
 @dataclass(frozen=True)
@@ -195,15 +192,18 @@ def build_histogram(events: Iterable[str]) -> Histogram:
 
 
 def split_by_period(log: EventLog, boundary: float) -> tuple[EventLog, EventLog]:
-    """Split into records strictly before the boundary and records at or after it."""
-    before = tuple(r for r in log.records if r.timestamp < boundary)
-    after = tuple(r for r in log.records if r.timestamp >= boundary)
-    return EventLog(before), EventLog(after)
+    """Split into events strictly before the boundary and events at or after
+    it, each half in log order."""
+    before = [t < boundary for t in log.timestamps]
+    after = [not b for b in before]
+    columns = (log.users, log.timestamps, log.locations)
+    first, second = (EventLog(*(tuple(compress(c, mask)) for c in columns)) for mask in (before, after))
+    return first, second
 
 
 def filter_active_users(a: EventLog, b: EventLog) -> set[str]:
-    """Users with at least one record in each of the two logs."""
-    return {rec.user for rec in a.records} & {rec.user for rec in b.records}
+    """Users with at least one event in each of the two logs."""
+    return set(a.users) & set(b.users)
 
 
 def histograms_by_user(log: EventLog, users: set[str] | None = None) -> HistogramSet:
@@ -212,9 +212,9 @@ def histograms_by_user(log: EventLog, users: set[str] | None = None) -> Histogra
     Owners appear in sorted order so ingestion is reproducible.
     """
     sequences: dict[str, list[str]] = defaultdict(list)
-    for rec in log.records:
-        if users is None or rec.user in users:
-            sequences[rec.user].append(rec.location)
+    for user, location in zip(log.users, log.locations):
+        if users is None or user in users:
+            sequences[user].append(location)
     entries = tuple((u, build_histogram(sequences[u])) for u in sorted(sequences))
     return HistogramSet(entries=entries)
 

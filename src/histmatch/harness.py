@@ -19,7 +19,7 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -28,7 +28,6 @@ import numpy as np
 from .anonymize import ClusterPartition, information_loss, microaggregate, verify_k_anonymity
 from .core import (
     EventLog,
-    EventRecord,
     GroundTruth,
     HistogramSet,
     aggregate_locations,
@@ -166,6 +165,8 @@ _SCENARIOS: dict[str, _Scenario] = {
 }
 SCENARIOS = tuple(_SCENARIOS)
 
+_CONFIG_TYPES = {"scenario": str, "metrics": list, "repetitions": int, "seed": int, "params": dict, "workers": int}
+
 
 @dataclass
 class ExperimentConfig:
@@ -179,12 +180,15 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name, kind in _CONFIG_TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be at least 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+        for name in ("repetitions", "workers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
         for token in self.metrics:
             try:
                 MetricKind.from_token(token)
@@ -193,6 +197,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -379,12 +385,8 @@ def _event_log_sets(log: EventLog, params: dict, cell_side: float):
     grid over quantization cell sides.
     """
     origin = tuple(params.get("geo_origin", (0.0, 0.0)))
-    records = []
-    for rec in log.records:
-        key = quantize_geo(*parse_latlon(rec.location), cell_side, origin)
-        records.append(EventRecord(user=rec.user, timestamp=rec.timestamp, location=key))
-    log = EventLog(records=tuple(records))
-    first, second = split_by_period(log, params["boundary"])
+    cells = tuple(quantize_geo(*parse_latlon(loc), cell_side, origin) for loc in log.locations)
+    first, second = split_by_period(replace(log, locations=cells), params["boundary"])
     active = filter_active_users(first, second)
     left = histograms_by_user(first, users=active)
     right = histograms_by_user(second, users=active)
@@ -454,7 +456,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         if "boundary" not in params:
             raise ConfigError("aggregate over an event_log requires 'boundary'")
     values = params[grid_key]
-    if not values:
+    if not isinstance(values, list) or not values:
         raise ConfigError(f"{grid_key} must be a non-empty list")
     observed = [None] * len(values)
     if event_log:

@@ -8,7 +8,7 @@ File formats:
 * histogram set: headered CSV ``owner,location,probability`` with rows
   grouped by owner; each owner's probabilities must sum to 1 within 1e-6 on
   load (they are renormalized exactly when slightly off);
-* ground truth: headered CSV ``left_owner,right_owner``;
+* ground truth: headered CSV ``left_owner,right_owner``, no owner repeating;
 * match result: headered CSV ``left_owner,right_owner,weight`` plus a JSON
   summary ``{algorithm, cardinality, total_weight, runtime_ms}``;
 * cluster partition: JSON ``{k, g, L, clusters}``.
@@ -25,7 +25,6 @@ from .anonymize import ClusterPartition
 from .core import (
     MASS_ATOL,
     EventLog,
-    EventRecord,
     GroundTruth,
     Histogram,
     HistogramSet,
@@ -68,7 +67,11 @@ def _write_rows(path: str | Path, header: list[str], rows: Iterable) -> None:
 
 
 def read_event_log(path: str | Path) -> EventLog:
-    records = []
+    users: list[str] = []
+    timestamps: list[int] = []
+    locations: list[str] = []
+    # One string object per distinct user, shared by all of that user's events.
+    symbols: dict[str, str] = {}
     for lineno, row in _read_rows(path, EVENT_HEADER):
         user, ts, location = (c.strip() for c in row)
         try:
@@ -77,17 +80,25 @@ def read_event_log(path: str | Path) -> EventLog:
             raise FileFormatError(f"{path}:{lineno}: timestamp {ts!r} is not an integer") from None
         if timestamp < 0:
             raise FileFormatError(f"{path}:{lineno}: negative timestamp {timestamp}")
-        records.append(EventRecord(user=user, timestamp=timestamp, location=location))
-    return EventLog(records=tuple(records))
+        users.append(symbols.setdefault(user, user))
+        timestamps.append(timestamp)
+        locations.append(location)
+    return EventLog(tuple(users), tuple(timestamps), tuple(locations))
 
 
-def _read_pairs(path: str | Path, header: list[str], key_name: str) -> dict[str, str]:
-    """A two-column file as a map from its first column, which must not repeat."""
+def _read_pairs(path: str | Path, header: list[str], key_name: str, value_name: str | None = None) -> dict[str, str]:
+    """A two-column file as a map from its first column, which must not repeat;
+    nor may its second column when ``value_name`` names it."""
     mapping: dict[str, str] = {}
+    values: set[str] = set()
     for lineno, row in _read_rows(path, header):
         key, value = (c.strip() for c in row)
         if key in mapping:
             raise FileFormatError(f"{path}:{lineno}: duplicate {key_name} {key!r}")
+        if value_name is not None:
+            if value in values:
+                raise FileFormatError(f"{path}:{lineno}: duplicate {value_name} {value!r}")
+            values.add(value)
         mapping[key] = value
     return mapping
 
@@ -136,7 +147,7 @@ def write_histogram_set(hset: HistogramSet, path: str | Path) -> None:
 
 
 def read_truth(path: str | Path) -> GroundTruth:
-    return GroundTruth(mapping=_read_pairs(path, TRUTH_HEADER, "left owner"))
+    return GroundTruth(mapping=_read_pairs(path, TRUTH_HEADER, "left owner", "right owner"))
 
 
 def write_truth(truth: GroundTruth, path: str | Path) -> None:
@@ -157,19 +168,16 @@ def match_summary(result: MatchResult, runtime_ms: dict[str, float]) -> dict:
     }
 
 
-def write_match_summary(result: MatchResult, runtime_ms: dict[str, float], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(match_summary(result, runtime_ms), fh, indent=2)
-        fh.write("\n")
-
-
 def write_partition(partition: ClusterPartition, loss: float, path: str | Path) -> None:
-    payload = {
+    write_json({
         "k": partition.k_achieved,
         "g": partition.g,
         "L": loss,
         "clusters": [list(cluster) for cluster in partition.clusters],
-    }
+    }, path)
+
+
+def write_json(payload, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -45,7 +45,7 @@ class MetricKind(Enum):
     @classmethod
     def from_token(cls, token: str) -> "MetricKind":
         try:
-            return cls(token.lower())
+            return cls(str(token).lower())
         except ValueError:
             valid = ", ".join(k.value for k in cls)
             raise ValueError(f"unknown metric {token!r}; expected one of: {valid}") from None

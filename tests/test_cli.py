@@ -139,6 +139,20 @@ class TestMatchCommand:
         assert code == 2
         assert json.loads(err)["error"] == "usage"
 
+    @pytest.mark.parametrize("algorithm", ["a2:x", "brute:x", "a2:", "brute:", "a1:3", "a2"])
+    def test_malformed_algorithm_is_usage_error(self, tmp_path, capsys, synth_files, algorithm):
+        left, right, _, _ = synth_files
+        code, out, err = run_cli(
+            capsys,
+            "match",
+            "--left", str(left), "--right", str(right),
+            "--algorithm", algorithm,
+            "--out-pairs", str(tmp_path / "p.csv"),
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "usage"
+        assert not (tmp_path / "p.csv").exists()
+
     def test_missing_file_error_json(self, tmp_path, capsys):
         code, out, err = run_cli(
             capsys,
@@ -305,6 +319,32 @@ class TestExperimentCommand:
         )
         assert code == 1
         assert json.loads(err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"scenario": "vary_n", "repetitions": "3"}, "repetitions must be of type int, got str"),
+            ({"scenario": "vary_n", "repetitions": True}, "repetitions must be of type int, got bool"),
+            ({"scenario": "vary_n", "workers": "2"}, "workers must be of type int, got str"),
+            ({"scenario": "vary_n", "seed": 1.5}, "seed must be of type int, got float"),
+            ({"scenario": 3}, "scenario must be of type str, got int"),
+            ({"scenario": "vary_n", "params": [1]}, "params must be of type dict, got list"),
+            ({"scenario": "vary_n", "params": {"n_values": 5}}, "n_values must be a non-empty list"),
+            ({"scenario": "vary_n", "metrics": "proposed"}, "metrics must be of type list, got str"),
+            ({"scenario": "vary_n", "metrics": ["proposed", 3]}, "unknown metric 3; expected one of"),
+            ([1, 2], "config must be a JSON object, got list"),
+        ],
+    )
+    def test_malformed_config_is_a_json_error(self, tmp_path, capsys, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(
+            capsys, "experiment", "--config", str(path), "--out-dir", str(tmp_path / "o")
+        )
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith(message)
 
 
 class TestConsoleScript:

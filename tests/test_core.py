@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from histmatch.core import (
     EARTH_RADIUS_M,
     EventLog,
-    EventRecord,
     GroundTruth,
     Histogram,
     HistogramSet,
@@ -32,7 +31,7 @@ from tests.conftest import random_histogram, random_histogram_set
 
 
 def log_of(*triples):
-    return EventLog(tuple(EventRecord(u, ts, loc) for u, ts, loc in triples))
+    return EventLog(*(tuple(zip(*triples)) or ((), (), ())))
 
 
 class TestBuildHistogram:
@@ -75,11 +74,11 @@ class TestSplitAndFilter:
     def test_half_open_boundary(self):
         log = log_of(("u", 10, "a"), ("u", 20, "a"), ("u", 30, "a"))
         first, second = split_by_period(log, 20)
-        assert [r.timestamp for r in first.records] == [10]
-        assert [r.timestamp for r in second.records] == [20, 30]
+        assert first.timestamps == (10,)
+        assert second.timestamps == (20, 30)
 
     def test_empty_log(self):
-        first, second = split_by_period(EventLog(()), 100)
+        first, second = split_by_period(EventLog((), (), ()), 100)
         assert len(first) == 0 and len(second) == 0
 
     def test_boundary_below_everything(self):
@@ -94,10 +93,16 @@ class TestSplitAndFilter:
         log = log_of(*(("u", ts, "a") for ts in stamps))
         first, second = split_by_period(log, boundary)
         assert len(first) + len(second) == len(log)
-        assert all(r.timestamp < boundary for r in first.records)
-        assert all(r.timestamp >= boundary for r in second.records)
-        merged = sorted(r.timestamp for r in first.records + second.records)
+        assert all(t < boundary for t in first.timestamps)
+        assert all(t >= boundary for t in second.timestamps)
+        merged = sorted(first.timestamps + second.timestamps)
         assert merged == sorted(stamps)
+
+    def test_halves_keep_event_order(self):
+        log = log_of(("u", 30, "c"), ("v", 5, "a"), ("u", 40, "d"), ("w", 10, "b"), ("v", 20, "e"))
+        first, second = split_by_period(log, 20)
+        assert first == log_of(("v", 5, "a"), ("w", 10, "b"))
+        assert second == log_of(("u", 30, "c"), ("u", 40, "d"), ("v", 20, "e"))
 
     def test_active_users_intersection(self):
         a = log_of(("u1", 1, "a"), ("u2", 2, "b"))
@@ -247,9 +252,13 @@ class TestTypes:
     def test_mass_tolerance(self):
         Histogram.from_mass({"A": 0.5, "B": 0.5 + 5e-10})
 
-    def test_event_record_validation(self):
-        with pytest.raises(ValueError):
-            EventRecord("u", -1, "a")
+    def test_event_log_validation(self):
+        with pytest.raises(ValueError, match="negative timestamp -1"):
+            EventLog(("u", "v"), (5, -1), ("a", "b"))
+        with pytest.raises(ValueError, match="columns differ in length"):
+            EventLog(("u", "v"), (5,), ("a", "b"))
+        with pytest.raises(ValueError, match="columns differ in length"):
+            EventLog(("u",), (5,), ())
 
     def test_histogram_set_unique_owners(self):
         h = Histogram.from_mass({"A": 1.0})

@@ -22,9 +22,16 @@ class TestEventLog:
         path.write_text("user,timestamp,location\nu1,100,a\nu1,200,b\nu2,150,a\n")
         log = hio.read_event_log(path)
         assert len(log) == 3
-        assert log.records[0].user == "u1"
-        assert log.records[0].timestamp == 100
-        assert log.records[2].location == "a"
+        assert log.users == ("u1", "u1", "u2")
+        assert log.timestamps == (100, 200, 150)
+        assert log.locations == ("a", "b", "a")
+
+    def test_events_share_user_strings(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("user,timestamp,location\nuser-17,100,a\nuser-4,150,b\nuser-17,200,c\n")
+        log = hio.read_event_log(path)
+        assert log.users[0] == log.users[2] == "user-17"
+        assert log.users[0] is log.users[2]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "events.csv"
@@ -182,6 +189,12 @@ class TestTruth:
         with pytest.raises(FileFormatError):
             hio.read_truth(path)
 
+    def test_duplicate_right(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text("left_owner,right_owner\nx1,u1\n\nx2,u1\n")
+        with pytest.raises(FileFormatError, match="^" + re.escape(f"{path}:4: duplicate right owner 'u1'")):
+            hio.read_truth(path)
+
 
 class TestMatchFiles:
     def test_pairs_and_summary(self, tmp_path, rng):
@@ -192,7 +205,7 @@ class TestMatchFiles:
         pairs_path = tmp_path / "pairs.csv"
         summary_path = tmp_path / "summary.json"
         hio.write_match_result(res, inst, pairs_path)
-        hio.write_match_summary(res, {"weights": 1.5, "solve": 0.5}, summary_path)
+        hio.write_json(hio.match_summary(res, {"weights": 1.5, "solve": 0.5}), summary_path)
 
         lines = pairs_path.read_text().splitlines()
         assert lines[0] == "left_owner,right_owner,weight"
@@ -219,3 +232,10 @@ class TestPartitionFile:
         assert data["k"] == partition.k_achieved
         assert data["L"] == pytest.approx(loss)
         assert sorted(o for c in data["clusters"] for o in c) == sorted(hset.owners)
+
+
+class TestJsonFile:
+    def test_indent_and_trailing_newline(self, tmp_path):
+        path = tmp_path / "payload.json"
+        hio.write_json({"k": 2, "clusters": [["a", "b"]]}, path)
+        assert path.read_text() == '{\n  "k": 2,\n  "clusters": [\n    [\n      "a",\n      "b"\n    ]\n  ]\n}\n'
