@@ -15,7 +15,6 @@ runs once) and reported with a mean and a 90% bootstrap confidence interval.
 """
 from __future__ import annotations
 
-import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -25,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import io as hio
 from .anonymize import ClusterPartition, information_loss, microaggregate, verify_k_anonymity
 from .core import (
     EventLog,
@@ -261,6 +261,12 @@ _ROW_FORMATS = {
 }
 
 
+def _cell(name: str, value):
+    if value is None:
+        return ""
+    return _ROW_FORMATS[name].format(value) if name in _ROW_FORMATS else value
+
+
 @dataclass
 class ExperimentReport:
     config: ExperimentConfig
@@ -271,23 +277,9 @@ class ExperimentReport:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         results = out / "results.csv"
-        with open(results, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_ROW_FIELDS)
-            for row in self.rows:
-                record = []
-                for f in _ROW_FIELDS:
-                    value = getattr(row, f)
-                    if value is None:
-                        record.append("")
-                    elif f in _ROW_FORMATS:
-                        record.append(_ROW_FORMATS[f].format(value))
-                    else:
-                        record.append(value)
-                writer.writerow(record)
-        with open(out / "metadata.json", "w", encoding="utf-8") as fh:
-            json.dump(self.metadata, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        cells = ([_cell(f, getattr(row, f)) for f in _ROW_FIELDS] for row in self.rows)
+        hio.write_rows(results, _ROW_FIELDS, cells)
+        hio.write_json(self.metadata, out / "metadata.json")
         return results
 
     def row(self, value, metric: str, algorithm: str) -> ExperimentRow:
@@ -305,9 +297,11 @@ def _rep_seed(seed: int, grid_index: int, rep: int) -> int:
 def _solve_all(left, right, truth, metrics, r=None, partition=None) -> dict:
     """Score A1, and A2 at cardinality ``r`` when one is given, under each metric.
 
-    With a ``partition`` the cluster-level accuracy is scored too.
+    Each payload is keyed by (metric, algorithm) and names its scores as the
+    ``ExperimentRow`` fields without their ``mean_`` prefix.  With a
+    ``partition`` the cluster-level accuracy is scored too.
     """
-    payloads: dict[str, dict] = {}
+    payloads: dict[tuple[str, str], dict] = {}
     for token in metrics:
         t0 = time.perf_counter()
         instance = build_instance(left, right, MetricKind.from_token(token))
@@ -320,17 +314,15 @@ def _solve_all(left, right, truth, metrics, r=None, partition=None) -> dict:
             result = solve(instance, *extra)
             solve_ms = 1000.0 * (time.perf_counter() - t1)
             report = user_level_accuracy(result, truth, left, right)
-            payloads[f"{token}|{algorithm}"] = {
-                "user_pct": report.user_level_pct,
-                "pct_acc": report.percentage_accuracy,
-                "n_correct": report.n_correct,
-                "cluster_pct": (
-                    None if partition is None
-                    else cluster_level_accuracy(result, truth, partition, left, right)
-                ),
+            payload = payloads[token, algorithm] = {
+                "user_level_pct": report.user_level_pct,
+                "percentage_accuracy": report.percentage_accuracy,
+                "correct": report.n_correct,
                 "weights_ms": weights_ms,
                 "solve_ms": solve_ms,
             }
+            if partition is not None:
+                payload["cluster_level_pct"] = cluster_level_accuracy(result, truth, partition, left, right)
     return payloads
 
 
@@ -353,28 +345,25 @@ def _most_popular(hset: HistogramSet, size: int) -> set[str]:
     return set(sorted(popularity, key=lambda loc: (-popularity[loc], loc))[:size])
 
 
-def _suppress_side(hset: HistogramSet, keep: set[str]) -> tuple[dict, set[str]]:
-    """Each owner's suppressed histogram, and the owners left with no mass."""
-    kept, emptied = {}, set()
+def _suppress_side(hset: HistogramSet, keep: set[str]) -> dict:
+    """Each owner's suppressed histogram, for the owners that keep some mass."""
+    kept = {}
     for owner, hist in hset.entries:
         try:
             kept[owner] = suppress_and_renormalize(hist, keep)
         except ZeroMassAfterSuppressionError:
-            emptied.add(owner)
-    return kept, emptied
+            pass
+    return kept
 
 
 def _suppress_sets(left, right, truth, keep: set[str]):
-    """Suppress both sides, dropping users with no retained mass (and their
-    counterparts) so the scenario stays a clean full-overlap instance."""
-    new_left, zero_left = _suppress_side(left, keep)
-    new_right, zero_right = _suppress_side(right, keep)
-    kept = {a: b for a, b in truth.mapping.items() if a not in zero_left and b not in zero_right}
-    drop_left = truth.mapping.keys() - kept.keys()
-    drop_right = set(truth.mapping.values()) - set(kept.values())
-    left_out = HistogramSet(tuple((o, h) for o, h in new_left.items() if o not in drop_left))
-    right_out = HistogramSet(tuple((o, h) for o, h in new_right.items() if o not in drop_right))
-    return left_out, right_out, GroundTruth(mapping=kept)
+    """Suppress both sides, keeping the truth pairs whose two owners both keep
+    some mass, so the scenario stays a clean full-overlap instance."""
+    new_left, new_right = _suppress_side(left, keep), _suppress_side(right, keep)
+    kept = GroundTruth(mapping={a: b for a, b in truth.mapping.items() if a in new_left and b in new_right})
+    left_out = HistogramSet(tuple((o, h) for o, h in new_left.items() if o in kept.mapping))
+    right_out = HistogramSet(tuple((o, h) for o, h in new_right.items() if o in kept.inverse))
+    return left_out, right_out, kept
 
 
 def _event_log_sets(log: EventLog, params: dict, cell_side: float):
@@ -429,7 +418,7 @@ def _rep_task(args: tuple) -> dict:
         valid = verify_k_anonymity(released, value)
         payloads = _solve_all(released, right, truth, metrics, partition=partition)
         for payload in payloads.values():
-            payload.update(loss=loss, kanon_ok=bool(valid))
+            payload.update(information_loss=loss, kanon_ok=bool(valid))
         return payloads
     return _solve_all(left, right, truth, metrics)
 
@@ -460,8 +449,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         raise ConfigError(f"{grid_key} must be a non-empty list")
     observed = [None] * len(values)
     if event_log:
-        from . import io as hio
-
         log = hio.read_event_log(event_log)
         observed = [_event_log_sets(log, params, float(value)) for value in values]
     repetitions = 1 if event_log else config.repetitions  # observed sets never vary
@@ -482,31 +469,17 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     rows: list[ExperimentRow] = []
     for gi, value in enumerate(values):
         reps = outcomes[gi * repetitions : (gi + 1) * repetitions]
-        for ki, key in enumerate(reps[0]):
-            token, algorithm = key.split("|")
-            series = [rep[key] for rep in reps]
-            user_vals = [s["user_pct"] for s in series]
-            low, high = bootstrap_ci(user_vals, seed=_rep_seed(config.seed, 10_000 + gi, ki))
-            rows.append(
-                ExperimentRow(
-                    scenario=config.scenario,
-                    param=param_name,
-                    value=value,
-                    metric=token,
-                    algorithm=algorithm if algorithm != "a2" else f"a2({value})",
-                    repetitions=repetitions,
-                    mean_user_level_pct=_mean(user_vals),
-                    ci90_low=low,
-                    ci90_high=high,
-                    mean_percentage_accuracy=_mean(s["pct_acc"] for s in series),
-                    mean_correct=float(np.mean([s["n_correct"] for s in series])),
-                    mean_cluster_level_pct=_mean(s["cluster_pct"] for s in series),
-                    mean_information_loss=_mean(s.get("loss") for s in series),
-                    kanon_ok=all(s["kanon_ok"] for s in series) if "kanon_ok" in series[0] else None,
-                    mean_weights_ms=float(np.mean([s["weights_ms"] for s in series])),
-                    mean_solve_ms=float(np.mean([s["solve_ms"] for s in series])),
-                )
-            )
+        for ki, (token, algorithm) in enumerate(reps[0]):
+            series = [rep[token, algorithm] for rep in reps]
+            folded = {f"mean_{k}": _mean(s[k] for s in series) for k in series[0] if k != "kanon_ok"}
+            if "kanon_ok" in series[0]:
+                folded["kanon_ok"] = all(s["kanon_ok"] for s in series)
+            seed = _rep_seed(config.seed, 10_000 + gi, ki)
+            low, high = bootstrap_ci([s["user_level_pct"] for s in series], seed=seed)
+            label = algorithm if algorithm != "a2" else f"a2({value})"
+            rows.append(ExperimentRow(
+                config.scenario, param_name, value, token, label, repetitions, ci90_low=low, ci90_high=high, **folded
+            ))
 
     from histmatch import __version__
 

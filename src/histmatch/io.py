@@ -59,7 +59,7 @@ def _read_rows(path: str | Path, expected_header: list[str]) -> Iterator[tuple[i
             yield reader.line_num, row
 
 
-def _write_rows(path: str | Path, header: list[str], rows: Iterable) -> None:
+def write_rows(path: str | Path, header: list[str], rows: Iterable) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -143,7 +143,7 @@ def read_histogram_set(path: str | Path) -> HistogramSet:
 
 def write_histogram_set(hset: HistogramSet, path: str | Path) -> None:
     rows = ([owner, loc, repr(p)] for owner, hist in hset.entries for loc, p in hist.mass.items())
-    _write_rows(path, HISTOGRAM_HEADER, rows)
+    write_rows(path, HISTOGRAM_HEADER, rows)
 
 
 def read_truth(path: str | Path) -> GroundTruth:
@@ -151,12 +151,12 @@ def read_truth(path: str | Path) -> GroundTruth:
 
 
 def write_truth(truth: GroundTruth, path: str | Path) -> None:
-    _write_rows(path, TRUTH_HEADER, truth.mapping.items())
+    write_rows(path, TRUTH_HEADER, truth.mapping.items())
 
 
 def write_match_result(result: MatchResult, instance: BipartiteInstance, path: str | Path) -> None:
     left, right = instance.left.owners, instance.right.owners
-    _write_rows(path, MATCH_HEADER, ([left[i], right[j], repr(w)] for i, j, w in result.pairs))
+    write_rows(path, MATCH_HEADER, ([left[i], right[j], repr(w)] for i, j, w in result.pairs))
 
 
 def match_summary(result: MatchResult, runtime_ms: dict[str, float]) -> dict:
