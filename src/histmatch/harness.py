@@ -116,19 +116,18 @@ def cluster_level_accuracy(
     return 100.0 * correct / len(truth)
 
 
-def bootstrap_ci(
-    values, confidence: float = BOOTSTRAP_CONFIDENCE, n_boot: int = BOOTSTRAP_RESAMPLES, seed: int = 0
-) -> tuple[float, float]:
-    """Percentile bootstrap confidence interval for the mean of ``values``."""
+def bootstrap_ci(values, seed: int = 0) -> tuple[float, float]:
+    """Percentile bootstrap confidence interval for the mean of ``values``: the
+    ``BOOTSTRAP_CONFIDENCE`` interval over ``BOOTSTRAP_RESAMPLES`` resampled means."""
     arr = np.asarray([v for v in values if v is not None], dtype=float)
     if arr.size == 0:
         return (float("nan"), float("nan"))
     if arr.size == 1:
         return (float(arr[0]), float(arr[0]))
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, arr.size, size=(n_boot, arr.size))
+    idx = rng.integers(0, arr.size, size=(BOOTSTRAP_RESAMPLES, arr.size))
     means = arr[idx].mean(axis=1)
-    alpha = 100.0 * (1.0 - confidence) / 2.0
+    alpha = 100.0 * (1.0 - BOOTSTRAP_CONFIDENCE) / 2.0
     low, high = np.percentile(means, [alpha, 100.0 - alpha])
     return float(low), float(high)
 
@@ -166,6 +165,17 @@ _SCENARIOS: dict[str, _Scenario] = {
 SCENARIOS = tuple(_SCENARIOS)
 
 _CONFIG_TYPES = {"scenario": str, "metrics": list, "repetitions": int, "seed": int, "params": dict, "workers": int}
+_EVENT_LOG_TYPES = {"event_log": str, "boundary": int, "geo_origin": list, "cell_sides": list}
+
+
+def _is(value, kind: type) -> bool:
+    """``isinstance``, except that a float field also takes an int and a bool is never a number."""
+    return isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool)
+
+
+def _require_type(name: str, value, kind: type) -> None:
+    if not _is(value, kind):
+        raise ConfigError(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
 
 
 @dataclass
@@ -181,19 +191,42 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, kind in _CONFIG_TYPES.items():
-            value = getattr(self, name)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
+            _require_type(name, getattr(self, name), kind)
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         for name in ("repetitions", "workers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+        if not self.metrics:
+            raise ConfigError("metrics must not be empty")
         for token in self.metrics:
             try:
                 MetricKind.from_token(token)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
+        self._check_params()
+
+    def _check_params(self) -> None:
+        """Each ``params`` key is one the scenario reads, of its default's type; each grid is a
+        non-empty list of positive ints (numbers for ``cell_sides``); an event log needs both its fields."""
+        scenario = _SCENARIOS[self.scenario]
+        types = {key: type(default) for key, default in scenario.defaults.items()}
+        if self.scenario == "aggregate":
+            types.update(_EVENT_LOG_TYPES)
+        grids = {scenario.grid_key: (int, "ints"), "cell_sides": (float, "numbers")}
+        for key, value in self.params.items():
+            if key not in types:
+                raise ConfigError(f"unknown param {key!r} for scenario {self.scenario!r}")
+            if key not in grids:
+                _require_type(key, value, types[key])
+            elif not (_is(value, list) and value and all(_is(v, grids[key][0]) and v > 0 for v in value)):
+                raise ConfigError(f"{key} must be a non-empty list of positive {grids[key][1]}")
+            if key == "geo_origin" and (len(value) != 2 or not all(_is(v, float) for v in value)):
+                raise ConfigError("geo_origin must be a list of two numbers")
+        if self.params.get("event_log"):
+            for key in ("cell_sides", "boundary"):
+                if key not in self.params:
+                    raise ConfigError(f"aggregate over an event_log requires {key!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -394,7 +427,6 @@ def _rep_task(args: tuple) -> dict:
     if observed is not None:
         return _solve_all(*observed, metrics)
 
-    value = int(value)
     if scenario == "overlap":
         spec = OverlapSpec(params["n_left"], params["n_right"], value)
     else:
@@ -437,16 +469,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     """
     params = config.merged_params()
     param_name, grid_key, _ = _SCENARIOS[config.scenario]
-    event_log = params.get("event_log") if config.scenario == "aggregate" else None
+    event_log = params.get("event_log")
     if event_log:
         param_name, grid_key = "cell_side", "cell_sides"
-        if grid_key not in params:
-            raise ConfigError("aggregate over an event_log requires 'cell_sides'")
-        if "boundary" not in params:
-            raise ConfigError("aggregate over an event_log requires 'boundary'")
     values = params[grid_key]
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{grid_key} must be a non-empty list")
     observed = [None] * len(values)
     if event_log:
         log = hio.read_event_log(event_log)

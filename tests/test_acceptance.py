@@ -164,7 +164,7 @@ def test_criterion_5_metric_ordering():
     details = []
     for kind in (MetricKind.L1, MetricKind.COSINE, MetricKind.DOT):
         margins = proposed - np.array(accs[kind])
-        low, _ = bootstrap_ci(margins, confidence=0.90, seed=505)
+        low, _ = bootstrap_ci(margins, seed=505)
         ok = ok and margins.mean() >= 0.0 and low >= -1e-9
         details.append(f"{kind.value}: mean margin {margins.mean():+.2f} ci low {low:+.2f}")
     assert report(

@@ -333,6 +333,23 @@ class TestExperimentCommand:
             ({"scenario": "vary_n", "metrics": "proposed"}, "metrics must be of type list, got str"),
             ({"scenario": "vary_n", "metrics": ["proposed", 3]}, "unknown metric 3; expected one of"),
             ([1, 2], "config must be a JSON object, got list"),
+            ({"scenario": "vary_n", "metrics": []}, "metrics must not be empty"),
+            ({"scenario": "vary_t", "params": {"n_user": 5}}, "unknown param 'n_user' for scenario 'vary_t'"),
+            ({"scenario": "vary_n", "params": {"event_log": "x.csv"}}, "unknown param 'event_log'"),
+            ({"scenario": "vary_n", "params": {"t": "x"}}, "t must be of type int, got str"),
+            ({"scenario": "vary_n", "params": {"alphabet_size": 2.5}}, "alphabet_size must be of type int, got float"),
+            ({"scenario": "vary_n", "params": {"concentration": True}}, "concentration must be of type float, got bool"),
+            ({"scenario": "kanon", "params": {"k_values": [2.5]}}, "k_values must be a non-empty list of positive ints"),
+            ({"scenario": "vary_n", "params": {"n_values": [True]}}, "n_values must be a non-empty list of positive ints"),
+            ({"scenario": "aggregate", "params": {"group_counts": [0]}}, "group_counts must be a non-empty list of positive"),
+            (
+                {"scenario": "aggregate", "params": {"event_log": "x.csv", "boundary": 1, "cell_sides": [0]}},
+                "cell_sides must be a non-empty list of positive numbers",
+            ),
+            (
+                {"scenario": "aggregate", "params": {"event_log": "x.csv", "boundary": 1, "cell_sides": [9], "geo_origin": [1]}},
+                "geo_origin must be a list of two numbers",
+            ),
         ],
     )
     def test_malformed_config_is_a_json_error(self, tmp_path, capsys, config, message):

@@ -1,4 +1,7 @@
+import csv
+import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -386,12 +389,12 @@ class TestRunExperiment:
             assert len(packed) == len({id(hset) for hset in packed}) == 4
 
     def test_aggregate_event_log_requires_fields(self, tmp_path):
-        cfg = ExperimentConfig(
-            scenario="aggregate",
-            params={"event_log": str(tmp_path / "x.csv"), "cell_sides": [100.0]},
-        )
-        with pytest.raises(ConfigError):
-            run_experiment(cfg)
+        # checked when the config is built, before the log is read
+        with pytest.raises(ConfigError, match="requires 'boundary'"):
+            ExperimentConfig(
+                scenario="aggregate",
+                params={"event_log": str(tmp_path / "x.csv"), "cell_sides": [100.0]},
+            )
 
     def test_report_files(self, tmp_path):
         cfg = ExperimentConfig(scenario="vary_n", repetitions=2, seed=2, params={"n_values": [8]})
@@ -401,12 +404,32 @@ class TestRunExperiment:
         assert results.exists() and metadata.exists()
         header = results.read_text().splitlines()[0]
         assert header.startswith("scenario,param,value,metric,algorithm")
-        import json
-
         meta = json.loads(metadata.read_text())
         assert meta["generator"] == "numpy-pcg64"
         assert meta["config"]["seed"] == 2
         assert meta["bootstrap"] == {"resamples": 1000, "confidence": 0.90}
+
+    def test_report_cell_format(self, tmp_path):
+        cfg = ExperimentConfig(
+            scenario="kanon", repetitions=2, seed=4, params={"k_values": [3], "n_users": 12, "alphabet_size": 30, "t": 40}
+        )
+        report = run_experiment(cfg)
+        row = report.rows[0]
+        # a row without the kanon fields, as every other scenario has them
+        report.rows.append(replace(row, mean_cluster_level_pct=None, mean_information_loss=None, kanon_ok=None))
+        report.write(tmp_path)
+        with open(tmp_path / "results.csv", newline="", encoding="utf-8") as fh:
+            kanon, plain = csv.DictReader(fh)
+        for name in ("mean_user_level_pct", "ci90_low", "ci90_high", "mean_percentage_accuracy", "mean_cluster_level_pct"):
+            assert kanon[name] == f"{getattr(row, name):.1f}"
+            assert re.fullmatch(r"\d+\.\d", kanon[name])
+        assert kanon["mean_information_loss"] == f"{row.mean_information_loss:.4f}"
+        assert re.fullmatch(r"0\.\d{4}", kanon["mean_information_loss"])
+        assert kanon["mean_correct"] == f"{row.mean_correct:.2f}"
+        assert re.fullmatch(r"\d+\.\d\d", kanon["mean_correct"])
+        assert (kanon["value"], kanon["repetitions"], kanon["kanon_ok"]) == ("3", "2", "True")
+        assert (plain["mean_cluster_level_pct"], plain["mean_information_loss"], plain["kanon_ok"]) == ("", "", "")
+        assert json.loads((tmp_path / "metadata.json").read_text(encoding="utf-8")) == report.metadata
 
 
 class TestPaperStyleProperties:
