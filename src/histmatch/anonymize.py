@@ -147,18 +147,12 @@ def microaggregate(histograms: HistogramSet, k: int) -> tuple[ClusterPartition, 
         clusters.append(tuple(remaining.tolist()))
 
     centroids = tuple(_centroid([hists[i] for i in cluster]) for cluster in clusters)
-    centroid_by_index: dict[int, Histogram] = {}
-    for cluster, centroid in zip(clusters, centroids):
-        for i in cluster:
-            centroid_by_index[i] = centroid
-    released = HistogramSet(
-        entries=tuple((owner, centroid_by_index[i]) for i, (owner, _) in enumerate(histograms.entries)),
-    )
     owners = histograms.owners
     partition = ClusterPartition(
         clusters=tuple(tuple(owners[i] for i in cluster) for cluster in clusters),
         centroids=centroids,
     )
+    released = HistogramSet(tuple((owner, centroids[partition.cluster_of[owner]]) for owner in owners))
     return partition, released
 
 

@@ -121,9 +121,8 @@ def _cmd_synth(args) -> int:
     n_right = args.n_right or args.users
     r = args.overlap if args.overlap is not None else min(n_left, n_right)
     overlap = OverlapSpec(n_left=n_left, n_right=n_right, r=r)
-    population = max(args.population or 0, overlap.population_needed)
     spec = PopulationSpec(
-        n_users=population,
+        n_users=overlap.population_needed,
         alphabet_size=args.alphabet,
         concentration=args.alpha,
         seed=args.seed,
@@ -192,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic histogram sets with ground truth")
     p.add_argument("--users", type=int, default=100)
-    p.add_argument("--population", type=int, default=None)
     p.add_argument("--alphabet", type=int, default=200)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--t1", type=int, default=500)
@@ -223,15 +221,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except HistmatchError as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return 1
     except FileNotFoundError as exc:
-        _emit_error("FileNotFound", str(exc))
-        return 1
+        kind, message = "FileNotFound", str(exc)
+    except (HistmatchError, OSError) as exc:
+        kind, message = type(exc).__name__, str(exc)
     except ValueError as exc:
-        _emit_error("ValueError", str(exc))
-        return 1
+        kind, message = "ValueError", str(exc)
+    _emit_error(kind, message)
+    return 1
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ from .core import (
     split_by_period,
     suppress_and_renormalize,
 )
-from .errors import ConfigError, PartitionCoverageError, ZeroMassAfterSuppressionError
+from .errors import ConfigError, PartitionCoverageError
 from .matcher import MatchResult, build_instance, match_cardinality, match_min_weight
 from .metrics import MetricKind
 from .synth import GENERATOR_NAME, OverlapSpec, PopulationSpec, generate_pair, location_ids, sample_population, seeded_generator
@@ -371,32 +371,24 @@ def _aggregate_set(hset: HistogramSet, mapping: dict[str, str]) -> HistogramSet:
 
 def _most_popular(hset: HistogramSet, size: int) -> set[str]:
     """The ``size`` locations with the most total mass in the set, ties by id."""
-    popularity: dict[str, float] = {}
-    for hist in hset.histograms:
-        for loc, p in hist.mass.items():
-            popularity[loc] = popularity.get(loc, 0.0) + p
+    rows = hset.rows
+    mass = np.bincount(rows.indices, weights=rows.data, minlength=rows.shape[1])
+    popularity = dict(zip(hset.locations, mass.tolist()))
     return set(sorted(popularity, key=lambda loc: (-popularity[loc], loc))[:size])
 
 
-def _suppress_side(hset: HistogramSet, keep: set[str]) -> dict:
-    """Each owner's suppressed histogram, for the owners that keep some mass."""
-    kept = {}
-    for owner, hist in hset.entries:
-        try:
-            kept[owner] = suppress_and_renormalize(hist, keep)
-        except ZeroMassAfterSuppressionError:
-            pass
-    return kept
-
-
 def _suppress_sets(left, right, truth, keep: set[str]):
-    """Suppress both sides, keeping the truth pairs whose two owners both keep
-    some mass, so the scenario stays a clean full-overlap instance."""
-    new_left, new_right = _suppress_side(left, keep), _suppress_side(right, keep)
-    kept = GroundTruth(mapping={a: b for a, b in truth.mapping.items() if a in new_left and b in new_right})
-    left_out = HistogramSet(tuple((o, h) for o, h in new_left.items() if o in kept.mapping))
-    right_out = HistogramSet(tuple((o, h) for o, h in new_right.items() if o in kept.inverse))
-    return left_out, right_out, kept
+    """Suppress both sides to the truth pairs whose two owners both keep some
+    mass, so the scenario stays a clean full-overlap instance."""
+    kept = GroundTruth(mapping={
+        a: b for a, b in truth.mapping.items()
+        if not (keep.isdisjoint(left.histogram(a).mass) or keep.isdisjoint(right.histogram(b).mass))
+    })
+
+    def suppress(hset, owners):
+        return HistogramSet(tuple((o, suppress_and_renormalize(h, keep)) for o, h in hset.entries if o in owners))
+
+    return suppress(left, kept.mapping), suppress(right, kept.inverse), kept
 
 
 def _event_log_sets(log: EventLog, params: dict, cell_side: float):

@@ -194,28 +194,20 @@ def weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -
         if metric is MetricKind.COSINE:
             lnorm = np.sqrt(_row_fsums(lrows, lrows.data * lrows.data))
             rnorm = np.sqrt(_row_fsums(rrows, rrows.data * rrows.data))
-            w = 1.0 - dots / np.outer(lnorm, rnorm)
-        else:
-            w = 1.0 - dots
-        np.clip(w, 0.0, 1.0, out=w)
-        return w
-
-    lsums = _row_fsums(lrows, lrows.data)
-    rsums = _row_fsums(rrows, rrows.data)
-
-    if metric is MetricKind.PROPOSED:
-        w = LN2 * np.add.outer(lsums, rsums)
+            dots /= np.outer(lnorm, rnorm)
+        w = 1.0 - dots
+    else:
+        # Each weight starts from its value on disjoint supports, ln 2 (|p| + |q|)
+        # for the divergence and |p| + |q| for l1; each shared column takes its terms off.
+        w = np.add.outer(_row_fsums(lrows, lrows.data), _row_fsums(rrows, rrows.data))
+        if metric is MetricKind.PROPOSED:
+            w *= LN2
         for li, lp, rj, rp in _shared_columns(lrows, rrows):
-            ps = lp[:, None]
-            qs = rp[None, :]
-            s = ps + qs
-            w[np.ix_(li, rj)] -= s * np.log(s) - ps * np.log(ps) - qs * np.log(qs)
-        np.clip(w, 0.0, MAX_DIVERGENCE_WEIGHT, out=w)
-        return w
-
-    if metric is MetricKind.L1:
-        w = np.add.outer(lsums, rsums)
-        for li, lp, rj, rp in _shared_columns(lrows, rrows):
-            w[np.ix_(li, rj)] -= 2.0 * np.minimum(lp[:, None], rp[None, :])
-        np.clip(w, 0.0, 2.0, out=w)
-        return w
+            ps, qs = lp[:, None], rp[None, :]
+            if metric is MetricKind.PROPOSED:
+                s = ps + qs
+                w[np.ix_(li, rj)] -= s * np.log(s) - ps * np.log(ps) - qs * np.log(qs)
+            else:
+                w[np.ix_(li, rj)] -= 2.0 * np.minimum(ps, qs)
+    np.clip(w, 0.0, metric.max_distance, out=w)
+    return w

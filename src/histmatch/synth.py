@@ -45,6 +45,10 @@ class PopulationSpec:
     def __post_init__(self):
         if self.n_users <= 0 or self.alphabet_size <= 0 or self.concentration <= 0:
             raise ValueError("population parameters must be positive")
+        if self.n_users > 1 and self.alphabet_size < 2:
+            # A Dirichlet over one location always draws [1.0], so no second
+            # distinct user can ever be drawn.
+            raise ValueError("more than one user needs an alphabet of at least two locations")
 
 
 @dataclass(frozen=True)

@@ -165,6 +165,15 @@ class TestMatchCommand:
         payload = json.loads(err)
         assert payload["error"] == "FileNotFound"
 
+    @pytest.mark.parametrize("bad_arg", ["--left", "--out-pairs"])
+    def test_directory_path_is_a_json_error(self, tmp_path, capsys, synth_files, bad_arg):
+        left, right, _, _ = synth_files
+        args = {"--left": str(left), "--right": str(right), "--out-pairs": str(tmp_path / "p.csv")}
+        args[bad_arg] = str(tmp_path)
+        code, out, err = run_cli(capsys, "match", *(x for pair in args.items() for x in pair))
+        assert code == 1
+        assert json.loads(err)["error"] == "IsADirectoryError"
+
 
 class TestAnonymizeCommand:
     def test_released_and_partition(self, tmp_path, capsys, synth_files):
@@ -362,6 +371,42 @@ class TestExperimentCommand:
         payload = json.loads(err)
         assert payload["error"] == "ConfigError"
         assert payload["message"].startswith(message)
+
+
+    def test_out_dir_that_is_a_file_is_a_json_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": "vary_n", "repetitions": 1, "params": {"n_values": [3]}}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(config), "--out-dir", str(config))
+        assert code == 1
+        assert json.loads(err)["error"] == "FileExistsError"
+
+
+class TestOneLocationAlphabet:
+    """A Dirichlet over one location draws [1.0] every time, so asking for two
+    distinct users once never returned.  Each command runs in a subprocess so
+    that a hang fails the test instead of the suite."""
+
+    def _run(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", "histmatch.cli", *map(str, argv)], capture_output=True, text=True, timeout=60,
+        )
+
+    def test_synth(self, tmp_path):
+        out = self._run("synth", "--users", "3", "--alphabet", "1",
+                        "--out-left", tmp_path / "l.csv", "--out-right", tmp_path / "r.csv")
+        assert out.returncode == 1
+        assert json.loads(out.stderr) == {
+            "error": "ValueError", "message": "more than one user needs an alphabet of at least two locations",
+        }
+
+    def test_experiment(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "scenario": "vary_n", "repetitions": 1, "params": {"n_values": [3], "t": 10, "alphabet_size": 1},
+        }))
+        out = self._run("experiment", "--config", config, "--out-dir", tmp_path / "o")
+        assert out.returncode == 1
+        assert json.loads(out.stderr)["error"] == "ValueError"
 
 
 class TestConsoleScript:

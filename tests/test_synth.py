@@ -50,6 +50,9 @@ class TestPopulation:
             PopulationSpec(0, 10, 0.1)
         with pytest.raises(ValueError):
             PopulationSpec(10, 10, 0.0)
+        with pytest.raises(ValueError, match="at least two locations"):
+            PopulationSpec(2, 1, 0.1)
+        assert len(sample_population(PopulationSpec(1, 1, 0.1))) == 1
 
 
 class TestOverlapSpec:
