@@ -16,7 +16,6 @@ from .core import (
     suppress_and_renormalize,
 )
 from .errors import (
-    AbsoluteContinuityError,
     ConfigError,
     EmptyStringError,
     FileFormatError,
@@ -53,7 +52,6 @@ from .matcher import (
 from .metrics import (
     MAX_DIVERGENCE_WEIGHT,
     MetricKind,
-    kl_divergence,
     pair_distance,
     shannon_entropy,
     weight_cosine,
@@ -73,67 +71,3 @@ from .synth import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AbsoluteContinuityError",
-    "AccuracyReport",
-    "BipartiteInstance",
-    "ClusterPartition",
-    "ConfigError",
-    "EmptyStringError",
-    "EventLog",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "FileFormatError",
-    "GENERATOR_NAME",
-    "GroundTruth",
-    "Histogram",
-    "HistogramSet",
-    "HistmatchError",
-    "InvalidCardinalityError",
-    "InvalidCoordinateError",
-    "InvalidKError",
-    "InvalidOverlapError",
-    "MAX_DIVERGENCE_WEIGHT",
-    "MatchResult",
-    "MetricKind",
-    "MetricMismatchError",
-    "OverlapSpec",
-    "PartitionCoverageError",
-    "PopulationSpec",
-    "SwapSidesError",
-    "TooLargeForOracleError",
-    "ZeroMassAfterSuppressionError",
-    "aggregate_locations",
-    "bootstrap_ci",
-    "build_histogram",
-    "build_instance",
-    "cluster_level_accuracy",
-    "filter_active_users",
-    "generalized_log_likelihood",
-    "generate_pair",
-    "histograms_by_user",
-    "information_loss",
-    "kl_divergence",
-    "location_ids",
-    "match_bruteforce",
-    "match_cardinality",
-    "match_greedy",
-    "match_min_weight",
-    "microaggregate",
-    "pair_distance",
-    "quantize_geo",
-    "run_experiment",
-    "sample_population",
-    "seeded_generator",
-    "shannon_entropy",
-    "split_by_period",
-    "suppress_and_renormalize",
-    "user_level_accuracy",
-    "verify_k_anonymity",
-    "weight_cosine",
-    "weight_dot",
-    "weight_l1",
-    "weight_matrix",
-    "weight_proposed",
-]

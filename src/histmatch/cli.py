@@ -11,10 +11,13 @@ written to stderr and the exit code is nonzero.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 from . import io as hio
 from .anonymize import information_loss, microaggregate
@@ -42,6 +45,15 @@ from .synth import GENERATOR_NAME, OverlapSpec, PopulationSpec, generate_pair, s
 
 def _emit_error(kind: str, message: str) -> None:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+
+
+def _check_output_files(*paths: str | None) -> None:
+    """Fail before any work, as opening would, when an output file is a directory or lies in a missing one."""
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,6 +165,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = ExperimentConfig.from_file(args.config)
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     report = run_experiment(config, out_dir=args.out_dir)
     print(json.dumps({"rows": len(report.rows), "out_dir": args.out_dir}))
     return 0
@@ -220,6 +233,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # every --out-* option but --out-dir names an output file
+        _check_output_files(*(v for k, v in vars(args).items() if k.startswith("out_") and k != "out_dir"))
         return args.func(args)
     except FileNotFoundError as exc:
         kind, message = "FileNotFound", str(exc)

@@ -17,10 +17,6 @@ class ZeroMassAfterSuppressionError(HistmatchError):
     """Suppression removed all of a histogram's probability mass."""
 
 
-class AbsoluteContinuityError(HistmatchError):
-    """KL divergence requested where support(p) is not contained in support(q)."""
-
-
 class SwapSidesError(HistmatchError):
     """The left histogram set is larger than the right; pass the smaller set as left."""
 

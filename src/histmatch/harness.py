@@ -332,19 +332,20 @@ def _solve_all(left, right, truth, metrics, r=None, partition=None) -> dict:
 
     Each payload is keyed by (metric, algorithm) and names its scores as the
     ``ExperimentRow`` fields without their ``mean_`` prefix.  With a
-    ``partition`` the cluster-level accuracy is scored too.
+    ``partition`` the cluster-level accuracy is scored too.  An empty side (a
+    suppression that kept no truth pair) scores as an empty matching.
     """
     payloads: dict[tuple[str, str], dict] = {}
     for token in metrics:
         t0 = time.perf_counter()
-        instance = build_instance(left, right, MetricKind.from_token(token))
+        instance = build_instance(left, right, MetricKind.from_token(token)) if len(left) and len(right) else None
         weights_ms = 1000.0 * (time.perf_counter() - t0)
         runs = [("a1", match_min_weight, ())]
         if r is not None:
             runs.append(("a2", match_cardinality, (r,)))
         for algorithm, solve, extra in runs:
             t1 = time.perf_counter()
-            result = solve(instance, *extra)
+            result = solve(instance, *extra) if instance is not None else MatchResult((), 0.0, algorithm)
             solve_ms = 1000.0 * (time.perf_counter() - t1)
             report = user_level_accuracy(result, truth, left, right)
             payload = payloads[token, algorithm] = {

@@ -19,9 +19,8 @@ import csv
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .anonymize import ClusterPartition
 from .core import (
     MASS_ATOL,
     EventLog,
@@ -30,7 +29,10 @@ from .core import (
     HistogramSet,
 )
 from .errors import FileFormatError
-from .matcher import BipartiteInstance, MatchResult
+
+if TYPE_CHECKING:
+    from .anonymize import ClusterPartition
+    from .matcher import BipartiteInstance, MatchResult
 
 EVENT_HEADER = ["user", "timestamp", "location"]
 AGGREGATION_HEADER = ["from", "to"]

@@ -12,7 +12,8 @@ Solvers:
   lightest remaining edge.
 
 All solvers minimize; similarity weights are converted to distances when the
-instance is built.
+instance is built.  A1 and A2 import scipy's solver at their first call, so
+a process that never solves does not load ``scipy.optimize``.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import HistogramSet
 from .errors import (
@@ -113,6 +113,7 @@ def match_min_weight(instance: BipartiteInstance) -> MatchResult:
             f"left side has {n} nodes but right side only {m}; "
             "pass the smaller set as the left (unlabeled) side"
         )
+    from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(instance.weights)
     return _result(instance.weights, list(zip(rows, cols)), "A1")
 
@@ -142,6 +143,7 @@ def match_cardinality(instance: BipartiteInstance, r: int) -> MatchResult:
     padded = np.empty((n, m + n - r))
     padded[:, :m] = w
     padded[:, m:] = lo - max(hi, -lo) - 1.0
+    from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(padded)
     real = cols < m
     return _result(w, list(zip(rows[real], cols[real])), f"A2({r})")

@@ -23,7 +23,6 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .core import Histogram, HistogramSet, union_rows
-from .errors import AbsoluteContinuityError
 
 LN2 = math.log(2.0)
 
@@ -70,24 +69,6 @@ _MAX_DISTANCE = {
 
 def _mass(h: Histogram | Mapping[str, float]) -> Mapping[str, float]:
     return h.mass if isinstance(h, Histogram) else h
-
-
-def kl_divergence(p, q) -> float:
-    """Kullback-Leibler divergence sum(p ln(p/q)) in nats.
-
-    Requires support(p) to be contained in support(q); terms with p(l) = 0 are
-    skipped (0 ln 0 = 0).
-    """
-    pm, qm = _mass(p), _mass(q)
-    terms = []
-    for loc, pl in pm.items():
-        if pl <= 0.0:
-            continue
-        ql = qm.get(loc, 0.0)
-        if ql <= 0.0:
-            raise AbsoluteContinuityError(f"p has mass at {loc!r} where q has none")
-        terms.append(pl * math.log(pl / ql))
-    return max(0.0, math.fsum(terms))
 
 
 def shannon_entropy(p) -> float:

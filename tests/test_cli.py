@@ -1,10 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+import textwrap
+from types import SimpleNamespace
 
 import pytest
 
+from histmatch import cli
 from histmatch import io as hio
 from histmatch.cli import main
 from histmatch.core import EARTH_RADIUS_M
@@ -14,6 +18,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work ran before the output paths were checked")
 
 
 @pytest.fixture
@@ -173,6 +181,24 @@ class TestMatchCommand:
         code, out, err = run_cli(capsys, "match", *(x for pair in args.items() for x in pair))
         assert code == 1
         assert json.loads(err)["error"] == "IsADirectoryError"
+
+    @pytest.mark.parametrize("bad_arg, bad_path, kind", [
+        ("--out-pairs", ".", "IsADirectoryError"),
+        ("--out-summary", ".", "IsADirectoryError"),
+        ("--out-pairs", "missing/p.csv", "FileNotFound"),
+        ("--out-summary", "missing/s.json", "FileNotFound"),
+    ])
+    def test_output_paths_checked_before_reading(self, tmp_path, capsys, monkeypatch, synth_files, bad_arg, bad_path, kind):
+        left, right, _, _ = synth_files
+        monkeypatch.setattr(hio, "read_histogram_set", _must_not_run)
+        monkeypatch.setattr(cli, "build_instance", _must_not_run)
+        args = {"--left": str(left), "--right": str(right), "--out-pairs": str(tmp_path / "p.csv"),
+                "--out-summary": str(tmp_path / "s.json")}
+        args[bad_arg] = str(tmp_path / bad_path)
+        code, out, err = run_cli(capsys, "match", *(x for pair in args.items() for x in pair))
+        assert code == 1
+        assert json.loads(err)["error"] == kind
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestAnonymizeCommand:
@@ -380,6 +406,29 @@ class TestExperimentCommand:
         assert code == 1
         assert json.loads(err)["error"] == "FileExistsError"
 
+    def test_out_dir_checked_before_any_repetition(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": "vary_n", "repetitions": 1, "params": {"n_values": [3]}}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(config), "--out-dir", str(config))
+        assert code == 1
+        assert json.loads(err)["error"] == "FileExistsError"
+
+    def test_out_dir_created_before_the_run(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def run_experiment(config, out_dir):
+            seen.append(os.path.isdir(out_dir))
+            return SimpleNamespace(rows=[])
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": "vary_n", "repetitions": 1, "params": {"n_values": [3]}}))
+        out_dir = tmp_path / "a" / "b"
+        code, out, err = run_cli(capsys, "experiment", "--config", str(config), "--out-dir", str(out_dir))
+        assert code == 0, err
+        assert seen == [True]
+
 
 class TestOneLocationAlphabet:
     """A Dirichlet over one location draws [1.0] every time, so asking for two
@@ -407,6 +456,26 @@ class TestOneLocationAlphabet:
         out = self._run("experiment", "--config", config, "--out-dir", tmp_path / "o")
         assert out.returncode == 1
         assert json.loads(out.stderr)["error"] == "ValueError"
+
+
+class TestSolverFreeCommands:
+    def test_only_match_loads_the_assignment_solver(self, tmp_path):
+        (tmp_path / "events.csv").write_text("user,timestamp,location\nu1,100,a\nu1,900,a\nu2,120,c\nu2,880,b\n")
+        script = textwrap.dedent("""
+            import sys
+            from histmatch.cli import main
+            d = sys.argv[1] + "/"
+            assert main(["synth", "--users", "6", "--alphabet", "20", "--t1", "40", "--t2", "40",
+                         "--out-left", d + "l.csv", "--out-right", d + "r.csv"]) == 0
+            assert main(["ingest", "--events", d + "events.csv", "--boundary", "500",
+                         "--out-left", d + "il.csv", "--out-right", d + "ir.csv"]) == 0
+            assert main(["anonymize", "--input", d + "l.csv", "--k", "2", "--out-released", d + "rel.csv"]) == 0
+            assert "scipy.optimize" not in sys.modules, "a command that does not solve loaded scipy.optimize"
+            assert main(["match", "--left", d + "l.csv", "--right", d + "r.csv", "--out-pairs", d + "p.csv"]) == 0
+        """)
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert (tmp_path / "p.csv").exists()
 
 
 class TestConsoleScript:

@@ -244,6 +244,31 @@ class TestRunExperiment:
         cut = report.row(10, "proposed", "a1").mean_user_level_pct
         assert full > cut
 
+    @pytest.mark.parametrize("metrics", [None, ["proposed", "l1", "cosine", "dot"]])
+    def test_suppression_that_keeps_no_pair_scores_as_empty(self, tmp_path, monkeypatch, metrics):
+        from histmatch import harness
+
+        # one of these repetitions keeps no truth pair: it once stopped the whole run
+        config = {"scenario": "suppress", "repetitions": 3, "seed": 0, "params": {
+            "keep_sizes": [1], "n_users": 3, "alphabet_size": 500, "concentration": 0.01, "t": 3}}
+        if metrics is not None:
+            config["metrics"] = metrics
+        payloads = []
+        solve = harness._solve_all
+        monkeypatch.setattr(harness, "_solve_all", lambda *args, **kw: payloads.append(solve(*args, **kw)) or payloads[-1])
+        report = run_experiment(ExperimentConfig.from_dict(config), out_dir=tmp_path)
+        assert (tmp_path / "results.csv").exists()
+        assert len(payloads) == 3
+        empty = [p for p in payloads if all(score["user_level_pct"] is None for score in p.values())]
+        assert len(empty) == 1
+        full = next(p for p in payloads if p is not empty[0])
+        assert list(empty[0]) == list(full)
+        for key, score in empty[0].items():
+            assert list(score) == list(full[key])
+            assert score["percentage_accuracy"] is None
+            assert score["correct"] == 0
+        assert [row.metric for row in report.rows] == (metrics or ["proposed"])
+
     def test_overlap_reports_both_algorithms(self):
         cfg = ExperimentConfig(
             scenario="overlap",

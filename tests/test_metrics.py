@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from histmatch.anonymize import microaggregate
 from histmatch.core import Histogram, HistogramSet
-from histmatch.errors import AbsoluteContinuityError
 from histmatch.metrics import (
     LN2,
     MAX_DIVERGENCE_WEIGHT,
     MetricKind,
-    kl_divergence,
     pair_distance,
     shannon_entropy,
     weight_cosine,
@@ -115,30 +113,6 @@ def random_pair(rng, alphabet_size=6, max_support=4):
         random_histogram(rng, alphabet_size, max_support),
         random_histogram(rng, alphabet_size, max_support),
     )
-
-
-class TestKL:
-    def test_identical_is_zero(self):
-        assert kl_divergence(HALF, HALF) == 0.0
-
-    def test_single_term(self):
-        assert kl_divergence(POINT_A, HALF) == pytest.approx(math.log(2), abs=1e-12)
-
-    def test_two_terms(self):
-        expected = 0.5 * math.log(0.5 / 0.75) + 0.5 * math.log(0.5 / 0.25)
-        assert kl_divergence(HALF, SKEW) == pytest.approx(expected, abs=1e-12)
-        assert expected == pytest.approx(0.143841, abs=1e-6)
-
-    def test_support_violation(self):
-        with pytest.raises(AbsoluteContinuityError):
-            kl_divergence(HALF, POINT_A)
-
-    def test_nonnegative(self, rng):
-        for _ in range(200):
-            q = random_histogram(rng, 5, max_support=5)
-            sub = {loc: p for loc, p in q.mass.items()}
-            p = H({loc: v / math.fsum(sub.values()) for loc, v in sub.items()})
-            assert kl_divergence(p, q) >= 0.0
 
 
 class TestEntropy:
