@@ -142,6 +142,22 @@ class HistogramSet:
             array.flags.writeable = False
         return rows
 
+    @cached_property
+    def row_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's class of identical rows, numbered in order of first
+        occurrence, and the first row of each class; both read-only.  With
+        ascending columns and positive, finite masses, two packed rows' bytes
+        are equal exactly when their maps are."""
+        rows = self.rows
+        ptr = rows.indptr.tolist()
+        first: dict[tuple[bytes, bytes], int] = {}
+        keys = ((rows.indices[a:b].tobytes(), rows.data[a:b].tobytes()) for a, b in zip(ptr, ptr[1:]))
+        of_row = np.fromiter((first.setdefault(key, len(first)) for key in keys), dtype=np.intp, count=len(self))
+        firsts = np.unique(of_row, return_index=True)[1]
+        for array in (of_row, firsts):
+            array.flags.writeable = False
+        return of_row, firsts
+
 
 @dataclass(frozen=True)
 class GroundTruth:

@@ -12,12 +12,16 @@ sets' packed rows over the union of their locations
 weight matrix in time proportional to the co-occurring support instead of
 N * N' * M: the dot and cosine weights as one sparse product of the packed
 rows, the divergence and l1 weights by a walk over the columns both sets use.
+That walk runs over blocks of left rows and scatters each column's terms
+through flat indices.  Each weight is computed once per pair of distinct rows
+(:attr:`~histmatch.core.HistogramSet.row_classes`), so a k-anonymized release
+costs one row per cluster.
 """
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -28,6 +32,9 @@ LN2 = math.log(2.0)
 
 # Upper bound of the divergence weight, attained on disjoint supports.
 MAX_DIVERGENCE_WEIGHT = 2.0 * LN2
+
+# Most bytes of the weight matrix one block of the divergence and l1 walk spans.
+_BLOCK_BYTES = 4 << 20
 
 
 class MetricKind(Enum):
@@ -150,15 +157,9 @@ def _row_fsums(rows: csr_array, values: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(values[a:b].tolist()) for a, b in zip(ptr, ptr[1:])])
 
 
-def _shared_columns(left: csr_array, right: csr_array) -> Iterator[tuple[np.ndarray, ...]]:
-    """For each column both packed sets use, in column order: the rows of
-    each side with mass there, ascending, and those masses."""
-    lcols, rcols = left.tocsc(), right.tocsc()
-    lptr, rptr = lcols.indptr.tolist(), rcols.indptr.tolist()
-    for c in range(left.shape[1]):
-        la, lb, ra, rb = lptr[c], lptr[c + 1], rptr[c], rptr[c + 1]
-        if la < lb and ra < rb:
-            yield lcols.indices[la:lb], lcols.data[la:lb], rcols.indices[ra:rb], rcols.data[ra:rb]
+def _distinct(rows: csr_array, firsts: np.ndarray) -> csr_array:
+    """The rows listed in ``firsts``; ``rows`` itself when that is all of them."""
+    return rows if firsts.size == rows.shape[0] else rows[firsts]
 
 
 def weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -> np.ndarray:
@@ -168,8 +169,11 @@ def weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -
     """
     # Every weight adds each pair's terms in column order, the order in which
     # the left set first uses each location.  A1 picks among tied assignments
-    # by the last bit, so this order is kept fixed.
+    # by the last bit, so this order is kept fixed.  A pair's weight depends on
+    # its two rows alone, so it is computed once per pair of distinct rows.
     lrows, rrows = union_rows(left, right)
+    (lclass, lfirsts), (rclass, rfirsts) = left.row_classes, right.row_classes
+    lrows, rrows = _distinct(lrows, lfirsts), _distinct(rrows, rfirsts)
     if metric in (MetricKind.COSINE, MetricKind.DOT):
         dots = (lrows @ rrows.T).toarray()
         if metric is MetricKind.COSINE:
@@ -183,12 +187,42 @@ def weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -
         w = np.add.outer(_row_fsums(lrows, lrows.data), _row_fsums(rrows, rrows.data))
         if metric is MetricKind.PROPOSED:
             w *= LN2
-        for li, lp, rj, rp in _shared_columns(lrows, rrows):
-            ps, qs = lp[:, None], rp[None, :]
+        _subtract_shared_columns(w, lrows, rrows, metric)
+    np.clip(w, 0.0, metric.max_distance, out=w)
+    if lfirsts.size < len(lclass) or rfirsts.size < len(rclass):
+        w = w[np.ix_(lclass, rclass)]
+    return w
+
+
+def _subtract_shared_columns(w: np.ndarray, lrows: csr_array, rrows: csr_array, metric: MetricKind) -> None:
+    """Take each column's divergence or l1 terms off ``w`` for the pairs of
+    rows that both have mass there, column by column in ascending order.
+
+    The walk runs over blocks of left rows whose slice of ``w`` spans at most
+    ``_BLOCK_BYTES``, so the slice stays in cache across the columns.  Each
+    pair occurs once in a column and ``np.subtract.at`` applies a column's
+    terms in index order, so every pair's terms come off in column order
+    whatever the block size.
+    """
+    n, width = w.shape
+    rcols = rrows.tocsc()
+    rptr = rcols.indptr.tolist()
+    step = max(1, _BLOCK_BYTES // (w.itemsize * max(width, 1)))
+    for start in range(0, n, step):
+        lcols = (lrows if step >= n else lrows[start : start + step]).tocsc()
+        lptr = lcols.indptr.tolist()
+        # A row slice of C-ordered ``w`` is contiguous, so this is a view.
+        flat = w[start : start + step].reshape(-1)
+        for la, lb, ra, rb in zip(lptr, lptr[1:], rptr, rptr[1:]):
+            if la == lb or ra == rb:
+                continue
+            li, rj = lcols.indices[la:lb], rcols.indices[ra:rb]
+            ps, qs = lcols.data[la:lb, None], rcols.data[None, ra:rb]
             if metric is MetricKind.PROPOSED:
                 s = ps + qs
-                w[np.ix_(li, rj)] -= s * np.log(s) - ps * np.log(ps) - qs * np.log(qs)
+                terms = s * np.log(s) - ps * np.log(ps) - qs * np.log(qs)
             else:
-                w[np.ix_(li, rj)] -= 2.0 * np.minimum(ps, qs)
-    np.clip(w, 0.0, metric.max_distance, out=w)
-    return w
+                terms = 2.0 * np.minimum(ps, qs)
+            # intp before the multiply, so that the flat index cannot wrap at
+            # 2**31 however large the block is.
+            np.subtract.at(flat, (li.astype(np.intp)[:, None] * width + rj).ravel(), terms.ravel())

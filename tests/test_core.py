@@ -324,6 +324,15 @@ class TestPackedRows:
             assert_union_packed(a, b)
             assert_union_packed(b, a)
 
+    def test_row_classes(self):
+        half = {"A": 0.5, "B": 0.5}
+        masses = [half, {"C": 1.0}, {"B": 0.5, "A": 0.5}, {"A": 0.5, "B": math.nextafter(0.5, 1.0)}, half]
+        hset = HistogramSet(tuple((f"u{i}", Histogram.from_mass(m, sample_count=i)) for i, m in enumerate(masses)))
+        of_row, firsts = hset.row_classes
+        assert of_row.tolist() == [0, 1, 0, 2, 0]
+        assert firsts.tolist() == [0, 1, 3]
+        assert hset.row_classes is hset.row_classes
+
     def test_union_disjoint(self, rng):
         a = random_histogram_set(rng, 10, 20)
         b = HistogramSet(tuple((f"v{i}", random_histogram(rng, 20, 4, prefix="M")) for i in range(12)))

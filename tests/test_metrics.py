@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from histmatch import metrics
 from histmatch.anonymize import microaggregate
 from histmatch.core import Histogram, HistogramSet
 from histmatch.metrics import (
@@ -106,6 +107,29 @@ def histogram_masses(draw, locations="ABCDEFGH"):
     for loc in draw(st.lists(st.sampled_from("xyz"), max_size=2, unique=True)):
         mass[f"{loc}{locations[0]}"] = draw(st.floats(1e-305, 1e-295))
     return mass
+
+
+def duplicate_cases():
+    """Set pairs that repeat histograms: micro-aggregated releases on the
+    left, on the right and on both sides, and a set that repeats one
+    histogram next to copies of it moved by a few ulps, which stay apart."""
+    population = sample_population(PopulationSpec(30, 80, 1.0, 7))
+    left, right, _ = generate_pair(population, 100, 100, OverlapSpec.full(30), 7)
+    released = microaggregate(left, 5)[1]
+    entries = list(right.entries[:6])
+    hist = entries[0][1]
+    for i in range(1, 4):
+        entries.append((f"copy{i}", hist))
+        entries.append((f"moved{i}", H({loc: p * (1.0 + i * 2.0**-52) for loc, p in hist.mass.items()})))
+    repeated = HistogramSet(tuple(entries))
+    return [
+        (released, right),
+        (right, released),
+        (released, microaggregate(right, 4)[1]),
+        (repeated, left),
+        (left, repeated),
+        (repeated, repeated),
+    ]
 
 
 def random_pair(rng, alphabet_size=6, max_support=4):
@@ -291,6 +315,7 @@ class TestWeightMatrix:
         left, right, _ = generate_pair(population, 100, 100, OverlapSpec.full(30), 6)
         cases = [(microaggregate(left, 5)[1], right)]
         cases += [(random_histogram_set(rng, 9, 12, max_support=8), random_histogram_set(rng, 7, 12, max_support=8))]
+        cases += duplicate_cases()
         for lset, rset in cases:
             dots = np.zeros((len(lset), len(rset)))
             index = {o: j for j, o in enumerate(rset.owners)}
@@ -340,3 +365,18 @@ class TestWeightMatrixMatchesOracle:
         else:
             right_masses = data.draw(st.lists(histogram_masses("PQRSTUVW"), min_size=1, max_size=6))
         assert_matches_oracle(as_set(left_masses), as_set(right_masses))
+
+    def test_repeated_histograms(self):
+        for left, right in duplicate_cases():
+            assert_matches_oracle(left, right)
+
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    def test_row_blocks(self, monkeypatch, block_rows):
+        population = sample_population(PopulationSpec(40, 300, 1.0, 8))
+        left, right, _ = generate_pair(population, 200, 200, OverlapSpec.full(40), 8)
+        # 38 rows: the last block of three is ragged.
+        cases = [(HistogramSet(left.entries[:38]), right), *duplicate_cases()]
+        for lset, rset in cases:
+            width = len(rset.row_classes[1])
+            monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_rows * 8 * width)
+            assert_matches_oracle(lset, rset)
