@@ -24,6 +24,7 @@ from .errors import (
     InvalidCoordinateError,
     InvalidKError,
     InvalidOverlapError,
+    InvalidPopulationError,
     MetricMismatchError,
     PartitionCoverageError,
     SwapSidesError,

@@ -13,10 +13,9 @@ every l1 distance that decides a cluster or enters the loss equals
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -61,23 +60,35 @@ class ClusterPartition:
         return set(self.cluster_of)
 
 
-def _centroid(histograms: Sequence[Histogram]) -> Histogram:
-    if len(histograms) == 1:
-        return histograms[0]
-    total: dict[str, float] = defaultdict(float)
-    for h in histograms:
-        for loc, p in h.mass.items():
-            total[loc] += p
-    inv = 1.0 / len(histograms)
-    return Histogram.from_mass({loc: v * inv for loc, v in total.items()})
-
-
 def _mean_row(rows: csr_array, live: np.ndarray) -> np.ndarray:
-    """Dense centroid of the live rows, bit for bit as ``_centroid`` forms it:
-    each column summed in row order from 0.0, then scaled by 1 / count."""
+    """Dense centroid of the live rows: each column summed in row order from
+    0.0, then scaled by 1 / count, as a walk over the rows' maps adds them."""
     entries = np.repeat(live, np.diff(rows.indptr))
     total = np.bincount(rows.indices[entries], weights=rows.data[entries], minlength=rows.shape[1])
     return total * (1.0 / np.count_nonzero(live))
+
+
+def _centroids(histograms: HistogramSet, clusters: list[tuple[int, ...]]) -> tuple[Histogram, ...]:
+    """Each cluster's mean histogram; a single member is its own centroid.
+
+    A centroid's masses are those ``_mean_row`` gives over its members, which
+    come in row order, and its keys come in their order of first use over the
+    members' maps.
+    """
+    hists, rows = histograms.histograms, histograms.rows
+    column = dict(zip(histograms.locations, range(rows.shape[1])))
+    ptr = rows.indptr
+    out = []
+    for cluster in clusters:
+        if len(cluster) == 1:
+            out.append(hists[cluster[0]])
+            continue
+        take = np.concatenate([np.arange(ptr[i], ptr[i + 1]) for i in cluster])
+        total = np.bincount(rows.indices[take], weights=rows.data[take], minlength=rows.shape[1])
+        keys = dict.fromkeys(chain.from_iterable(hists[i].mass for i in cluster))
+        at = np.fromiter(map(column.__getitem__, keys), dtype=np.intp, count=len(keys))
+        out.append(Histogram(mass=dict(zip(keys, (total[at] * (1.0 / len(cluster))).tolist()))))
+    return tuple(out)
 
 
 def _l1_to(rows: csr_array, v: np.ndarray) -> tuple[np.ndarray, float]:
@@ -134,7 +145,10 @@ def microaggregate(histograms: HistogramSet, k: int) -> tuple[ClusterPartition, 
         members = [anchor]
         if k > 1:
             others = remaining[remaining != anchor]
-            d, tol = _l1_to(rows, rows[[anchor]].toarray()[0])
+            a, b = rows.indptr[anchor], rows.indptr[anchor + 1]
+            dense = np.zeros(rows.shape[1])
+            dense[rows.indices[a:b]] = rows.data[a:b]
+            d, tol = _l1_to(rows, dense)
             d = d[others]
             near = others[d <= np.partition(d, k - 2)[k - 2] + 2.0 * tol]
             if near.size > k - 1:
@@ -146,7 +160,7 @@ def microaggregate(histograms: HistogramSet, k: int) -> tuple[ClusterPartition, 
     if remaining.size:
         clusters.append(tuple(remaining.tolist()))
 
-    centroids = tuple(_centroid([hists[i] for i in cluster]) for cluster in clusters)
+    centroids = _centroids(histograms, clusters)
     owners = histograms.owners
     partition = ClusterPartition(
         clusters=tuple(tuple(owners[i] for i in cluster) for cluster in clusters),

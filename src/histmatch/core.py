@@ -67,10 +67,11 @@ class Histogram:
     def __post_init__(self):
         if not self.mass:
             raise ValueError("histogram must have at least one entry")
-        if not all(p > 0.0 for p in self.mass.values()):
+        # A NaN can hide from ``min``, but it makes the sum NaN, which fails too.
+        if not min(self.mass.values()) > 0.0:
             raise ValueError("histogram entries must be strictly positive")
         total = math.fsum(self.mass.values())
-        if abs(total - 1.0) > MASS_ATOL:
+        if not abs(total - 1.0) <= MASS_ATOL:
             raise ValueError(f"histogram mass sums to {total!r}, not 1")
 
     @property
@@ -116,21 +117,33 @@ class HistogramSet:
         return self.entries[self._owner_index[owner]][1]
 
     @cached_property
+    def _distinct(self) -> tuple[tuple[Histogram, ...], np.ndarray]:
+        """Each distinct histogram object, by identity in order of first
+        occurrence, and the position of every entry's object among them."""
+        hists = self.histograms
+        position: dict[int, int] = {}
+        of_row = np.fromiter((position.setdefault(id(h), len(position)) for h in hists), dtype=np.intp, count=len(hists))
+        return tuple({id(h): h for h in hists}.values()), of_row
+
+    @cached_property
     def locations(self) -> tuple[str, ...]:
         """Every location the set uses, in the order of first use."""
-        return tuple(dict.fromkeys(chain.from_iterable(h.mass for h in self.histograms)))
+        return tuple(dict.fromkeys(chain.from_iterable(h.mass for h in self._distinct[0])))
 
     @cached_property
     def rows(self) -> csr_array:
         """One CSR row per histogram, in set order, over ``locations``, with
-        each row's columns ascending.  Its arrays are shared by every caller
-        and read-only."""
-        hists = self.histograms
+        each row's columns ascending.  Each distinct histogram object is
+        packed once and its row repeated by a gather.  The arrays are shared
+        by every caller and read-only."""
+        hists, of_row = self._distinct
         column = dict(zip(self.locations, range(len(self.locations))))
         lengths = [len(h.mass) for h in hists]
         nnz = sum(lengths)
-        # The index width scipy would pick, so that its constructor copies nothing.
-        index_dtype = np.int32 if max(nnz, len(column)) < 2**31 else np.int64
+        # The index width scipy would pick for the gathered rows, so that
+        # neither its constructor nor the gather copies.
+        largest = max(sum(len(h.mass) for h in self.histograms), len(column))
+        index_dtype = np.int32 if largest < 2**31 else np.int64
         indptr = np.zeros(len(hists) + 1, dtype=index_dtype)
         np.cumsum(lengths, out=indptr[1:])
         locs = chain.from_iterable(h.mass for h in hists)
@@ -138,6 +151,8 @@ class HistogramSet:
         data = np.fromiter(chain.from_iterable(h.mass.values() for h in hists), dtype=np.float64, count=nnz)
         rows = csr_array((data, indices, indptr), shape=(len(hists), len(column)))
         rows.sort_indices()
+        if len(hists) < len(of_row):
+            rows = rows[of_row]
         for array in (rows.data, rows.indices, rows.indptr):
             array.flags.writeable = False
         return rows
@@ -147,12 +162,15 @@ class HistogramSet:
         """Each row's class of identical rows, numbered in order of first
         occurrence, and the first row of each class; both read-only.  With
         ascending columns and positive, finite masses, two packed rows' bytes
-        are equal exactly when their maps are."""
-        rows = self.rows
+        are equal exactly when their maps are.  Only the first row of each
+        distinct histogram object is keyed."""
+        rows, (hists, of_row) = self.rows, self._distinct
         ptr = rows.indptr.tolist()
         first: dict[tuple[bytes, bytes], int] = {}
-        keys = ((rows.indices[a:b].tobytes(), rows.data[a:b].tobytes()) for a, b in zip(ptr, ptr[1:]))
-        of_row = np.fromiter((first.setdefault(key, len(first)) for key in keys), dtype=np.intp, count=len(self))
+        starts = np.unique(of_row, return_index=True)[1].tolist()
+        keys = ((rows.indices[ptr[r] : ptr[r + 1]].tobytes(), rows.data[ptr[r] : ptr[r + 1]].tobytes()) for r in starts)
+        of_object = np.fromiter((first.setdefault(key, len(first)) for key in keys), dtype=np.intp, count=len(hists))
+        of_row = of_object[of_row]
         firsts = np.unique(of_row, return_index=True)[1]
         for array in (of_row, firsts):
             array.flags.writeable = False

@@ -41,6 +41,10 @@ class InvalidOverlapError(HistmatchError):
     """Overlap specification is infeasible for the population."""
 
 
+class InvalidPopulationError(HistmatchError, ValueError):
+    """A population's habit distributions are empty, of unequal lengths, or not probability vectors."""
+
+
 class ConfigError(HistmatchError):
     """Experiment configuration is invalid."""
 

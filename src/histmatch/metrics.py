@@ -194,6 +194,13 @@ def weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -
     return w
 
 
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x ln x, elementwise, in one new array."""
+    out = np.log(x)
+    out *= x
+    return out
+
+
 def _subtract_shared_columns(w: np.ndarray, lrows: csr_array, rrows: csr_array, metric: MetricKind) -> None:
     """Take each column's divergence or l1 terms off ``w`` for the pairs of
     rows that both have mass there, column by column in ascending order.
@@ -205,24 +212,32 @@ def _subtract_shared_columns(w: np.ndarray, lrows: csr_array, rrows: csr_array, 
     whatever the block size.
     """
     n, width = w.shape
+    proposed = metric is MetricKind.PROPOSED
     rcols = rrows.tocsc()
     rptr = rcols.indptr.tolist()
+    qlogq = _xlogx(rcols.data) if proposed else None
     step = max(1, _BLOCK_BYTES // (w.itemsize * max(width, 1)))
     for start in range(0, n, step):
         lcols = (lrows if step >= n else lrows[start : start + step]).tocsc()
         lptr = lcols.indptr.tolist()
+        plogp = _xlogx(lcols.data) if proposed else None
         # A row slice of C-ordered ``w`` is contiguous, so this is a view.
         flat = w[start : start + step].reshape(-1)
         for la, lb, ra, rb in zip(lptr, lptr[1:], rptr, rptr[1:]):
             if la == lb or ra == rb:
                 continue
-            li, rj = lcols.indices[la:lb], rcols.indices[ra:rb]
             ps, qs = lcols.data[la:lb, None], rcols.data[None, ra:rb]
-            if metric is MetricKind.PROPOSED:
-                s = ps + qs
-                terms = s * np.log(s) - ps * np.log(ps) - qs * np.log(qs)
+            if proposed:
+                # (s ln s - p ln p) - q ln q, the order of the reference walk,
+                # so that every weight keeps its last bit.
+                terms = ps + qs
+                terms *= np.log(terms)
+                terms -= plogp[la:lb, None]
+                terms -= qlogq[None, ra:rb]
             else:
-                terms = 2.0 * np.minimum(ps, qs)
+                terms = np.minimum(ps, qs)
+                terms *= 2.0
             # intp before the multiply, so that the flat index cannot wrap at
             # 2**31 however large the block is.
-            np.subtract.at(flat, (li.astype(np.intp)[:, None] * width + rj).ravel(), terms.ravel())
+            offsets = lcols.indices[la:lb, None].astype(np.intp) * width
+            np.subtract.at(flat, (offsets + rcols.indices[ra:rb]).ravel(), terms.ravel())

@@ -8,12 +8,13 @@ affects the output.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import GroundTruth, Histogram, HistogramSet, build_histogram
-from .errors import InvalidOverlapError
+from .errors import InvalidOverlapError, InvalidPopulationError
 
 # Recorded in emitted metadata so results can be reproduced statistically
 # by other implementations of the same algorithm.
@@ -87,14 +88,43 @@ def sample_population(spec: PopulationSpec) -> list[np.ndarray]:
     alpha = np.full(spec.alphabet_size, spec.concentration)
     out: list[np.ndarray] = []
     seen: set[bytes] = set()
+    # A batch of rows consumes the stream as that many single draws do, so a
+    # pass that draws what is still missing yields the same rows.
     while len(out) < spec.n_users:
-        p = rng.dirichlet(alpha)
-        key = p.tobytes()
-        if key in seen:  # exact collision: redraw
-            continue
-        seen.add(key)
-        out.append(p)
+        for p in rng.dirichlet(alpha, size=spec.n_users - len(out)):
+            key = p.tobytes()
+            if key in seen:  # exact collision: redraw
+                continue
+            seen.add(key)
+            out.append(p)
     return out
+
+
+def _checked_population(distributions: list[np.ndarray]) -> list[np.ndarray]:
+    """The distributions as float64 vectors, checked as ``Generator.choice``
+    checks its ``p``: one length, no negative or NaN entry, and a sum within
+    the square root of the float64 epsilon of 1, which no infinite entry has."""
+    if not distributions:
+        raise InvalidPopulationError("the population is empty")
+    rows = [np.asarray(p, dtype=np.float64) for p in distributions]
+    shape = (rows[0].size,)
+    atol = math.sqrt(np.finfo(np.float64).eps)
+    for user, p in enumerate(rows):
+        if p.shape != shape:
+            raise InvalidPopulationError(f"user {user}'s distribution has shape {p.shape}, not {shape}")
+        if not p.min() >= 0.0:
+            raise InvalidPopulationError(f"user {user}'s distribution has a negative or NaN entry")
+        if not abs((total := float(p.sum())) - 1.0) <= atol:
+            raise InvalidPopulationError(f"user {user}'s distribution sums to {total!r}, not 1")
+    return rows
+
+
+def _draw(p: np.ndarray, length: int, gen: np.random.Generator) -> np.ndarray:
+    """The indices ``gen.choice(len(p), size=length, p=p)`` returns, drawn by
+    the same inverse CDF without its per-call checks."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(gen.random(length), side="right")
 
 
 def generate_pair(
@@ -110,10 +140,12 @@ def generate_pair(
     contributes an independent i.i.d. string per side (length t1 left, t2
     right).  The unlabeled set comes out in shuffled order under opaque owner
     ids, and the returned truth maps those ids to the labeled owners for the
-    shared users only.
+    shared users only.  A population that ``Generator.choice`` would refuse
+    raises ``InvalidPopulationError``.
     """
     if t1 <= 0 or t2 <= 0:
         raise ValueError("string lengths must be positive")
+    distributions = _checked_population(distributions)
     population = len(distributions)
     if overlap.population_needed > population:
         raise InvalidOverlapError(
@@ -122,8 +154,7 @@ def generate_pair(
     ids = np.array(location_ids(len(distributions[0])), dtype=object)
 
     def draw(user: int, length: int, side_salt: int) -> Histogram:
-        p = distributions[user]
-        idx = seeded_generator(seed, side_salt, user).choice(len(p), size=length, p=p)
+        idx = _draw(distributions[user], length, seeded_generator(seed, side_salt, user))
         return build_histogram(ids[idx].tolist())
 
     # One permutation of the population: the left side takes its first n_left

@@ -32,7 +32,8 @@ def hist_set(masses):
 
 # Reference implementation: the dict-walking micro-aggregation and loss that
 # the packed-row code replaced, kept verbatim.  The new code must reproduce
-# its partitions, released centroids and loss bit for bit.
+# its partitions, released centroids and loss bit for bit.  ``_oracle_centroid``
+# is the dict-summing centroid that the per-cluster ``np.bincount`` replaced.
 
 
 def _oracle_centroid(histograms: Sequence[Histogram]) -> Histogram:
@@ -161,6 +162,21 @@ class TestMatchesOracle:
             tuple((f"u{i}", build_histogram(seq)) for i, seq in enumerate(sequences))
         )
         assert_matches_oracle(hset, data.draw(st.integers(1, len(hset))))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_centroids_match_oracle_centroid(seed):
+    """Each released centroid equals the dict-summing centroid of its
+    members, masses and key order alike, and a singleton is its member."""
+    hset = synthetic_set(200, 1000, 200, seed)
+    index = {owner: i for i, owner in enumerate(hset.owners)}
+    for k in (1, 2, 5, 7):
+        partition, _ = microaggregate(hset, k)
+        for cluster, got in zip(partition.clusters, partition.centroids):
+            want = _oracle_centroid([hset.histograms[index[o]] for o in cluster])
+            assert list(got.mass.items()) == list(want.mass.items())
+            if len(cluster) == 1:
+                assert got is want
 
 
 class TestMicroaggregate:

@@ -249,6 +249,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             Histogram.from_mass({"A": 1.0, "B": math.nan})
 
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -0.5, math.inf, np.float64(math.nan), np.float32(0.0)])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_histogram_rejects_non_positive_or_infinite_masses(self, bad, at):
+        # ``min`` can pass over a NaN depending on where it sits, so each position is tried.
+        values = [0.5, 0.5]
+        values.insert(at, bad)
+        with pytest.raises(ValueError, match="strictly positive|sums to (inf|nan)"):
+            Histogram.from_mass(dict(zip("ABC", values)))
+
     def test_mass_tolerance(self):
         Histogram.from_mass({"A": 0.5, "B": 0.5 + 5e-10})
 
@@ -358,3 +367,50 @@ class TestPackedRows:
             array = getattr(loaded.rows, name)
             assert not array.flags.writeable
             assert np.array_equal(array, getattr(rows, name))
+
+
+class TestRepeatedObjects:
+    """A set that repeats one ``Histogram`` object packs it once; its packed
+    arrays equal those of a set of equal but distinct copies."""
+
+    def sets(self, rng):
+        pool = random_histogram_set(rng, 4, 12, max_support=6).histograms
+        picks = [2, 0, 2, 2, 1, 0, 3, 1, 2]
+        shared = HistogramSet(tuple((f"u{i}", pool[j]) for i, j in enumerate(picks)))
+        copies = HistogramSet(
+            tuple((f"u{i}", Histogram.from_mass(pool[j].mass)) for i, j in enumerate(picks))
+        )
+        assert len({id(h) for h in shared.histograms}) == 4
+        assert len({id(h) for h in copies.histograms}) == len(picks)
+        return shared, copies
+
+    @staticmethod
+    def arrays(hset):
+        return [hset.rows.data, hset.rows.indices, hset.rows.indptr, *hset.row_classes]
+
+    def assert_same_pack(self, got, want):
+        assert got.locations == want.locations
+        assert got.rows.shape == want.rows.shape
+        for a, b in zip(self.arrays(got), self.arrays(want)):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        assert_packed(got.rows, got, got.locations)
+
+    def test_equal_to_distinct_copies(self, rng):
+        shared, copies = self.sets(rng)
+        self.assert_same_pack(shared, copies)
+        assert shared.row_classes[0].tolist() == [0, 1, 0, 0, 2, 1, 3, 2, 0]
+
+    def test_equal_after_pickling(self, rng):
+        shared, copies = self.sets(rng)
+        loaded = pickle.loads(pickle.dumps(shared))
+        assert len({id(h) for h in loaded.histograms}) == 4
+        self.assert_same_pack(loaded, pickle.loads(pickle.dumps(copies)))
+        self.assert_same_pack(loaded, shared)
+        for array in self.arrays(loaded):
+            assert not array.flags.writeable
+
+    def test_row_classes_before_rows(self, rng):
+        shared, copies = self.sets(rng)
+        for a, b in zip(shared.row_classes, copies.row_classes):
+            assert a.tobytes() == b.tobytes()

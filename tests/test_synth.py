@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from histmatch.errors import InvalidOverlapError
+from histmatch import synth
+from histmatch.errors import HistmatchError, InvalidOverlapError, InvalidPopulationError
 from histmatch.metrics import weight_l1
 from histmatch.synth import (
     OverlapSpec,
@@ -150,3 +151,115 @@ class TestGeneratePair:
         ids = location_ids(12)
         assert ids[0] == "L00" and ids[11] == "L11"
         assert len(set(ids)) == 12
+
+
+def _single_draw_population(rng, spec: PopulationSpec) -> list[np.ndarray]:
+    """The population drawn one Dirichlet row per call, redrawing exact
+    repeats: the loop that the batched draws replaced."""
+    alpha = np.full(spec.alphabet_size, spec.concentration)
+    out: list[np.ndarray] = []
+    seen: set[bytes] = set()
+    while len(out) < spec.n_users:
+        p = rng.dirichlet(alpha)
+        key = p.tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(p)
+    return out
+
+
+class _RepeatingGenerator:
+    """One real generator's single Dirichlet rows in order, whether asked for
+    one at a time or in batches, with row ``repeat_at`` replaced by a copy of
+    row 0."""
+
+    def __init__(self, seed: int, repeat_at: int):
+        self._rng = seeded_generator(seed)
+        self._repeat_at = repeat_at
+        self.served: list[np.ndarray] = []
+
+    def _one(self, alpha):
+        p = self._rng.dirichlet(alpha)
+        if len(self.served) == self._repeat_at:
+            p = self.served[0].copy()
+        self.served.append(p)
+        return p
+
+    def dirichlet(self, alpha, size=None):
+        if size is None:
+            return self._one(alpha)
+        return np.array([self._one(alpha) for _ in range(size)])
+
+
+class TestBatchedDirichlet:
+    @pytest.mark.parametrize("concentration", [0.05, 0.1, 1.0])
+    @pytest.mark.parametrize("alphabet_size", [2, 50, 1000])
+    def test_equals_single_draws(self, concentration, alphabet_size):
+        spec = PopulationSpec(40, alphabet_size, concentration, seed=6)
+        want = _single_draw_population(seeded_generator(spec.seed, synth._SALT_POPULATION), spec)
+        got = sample_population(spec)
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+    def test_collision_is_redrawn(self, monkeypatch):
+        spec = PopulationSpec(6, 10, 0.5, seed=0)
+        stub = _RepeatingGenerator(seed=2, repeat_at=3)
+        monkeypatch.setattr(synth, "seeded_generator", lambda *entropy: stub)
+        got = sample_population(spec)
+        assert len(stub.served) == spec.n_users + 1
+        want = _single_draw_population(_RepeatingGenerator(seed=2, repeat_at=3), spec)
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+        assert stub.served[3].tobytes() == stub.served[0].tobytes()
+        assert [p.tobytes() for p in got] == [p.tobytes() for i, p in enumerate(stub.served) if i != 3]
+
+
+class TestInverseCdfDraws:
+    @pytest.mark.parametrize("concentration", [0.1, 1.0])
+    @pytest.mark.parametrize("alphabet_size", [1, 2, 1000])
+    @pytest.mark.parametrize("t", [1, 20_000])
+    def test_equal_generator_choice(self, concentration, alphabet_size, t):
+        n = 1 if alphabet_size == 1 else 8
+        for user, p in enumerate(sample_population(PopulationSpec(n, alphabet_size, concentration, seed=4))):
+            got = synth._draw(p, t, seeded_generator(9, user))
+            want = seeded_generator(9, user).choice(len(p), size=t, p=p)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_generate_pair_equals_choice_draws(self, monkeypatch):
+        pop = sample_population(PopulationSpec(30, 40, 0.3, seed=2))
+        got = generate_pair(pop, 50, 70, OverlapSpec(20, 25, 15), seed=3)
+        monkeypatch.setattr(synth, "_draw", lambda p, t, gen: gen.choice(len(p), size=t, p=p))
+        want = generate_pair(pop, 50, 70, OverlapSpec(20, 25, 15), seed=3)
+        assert got == want
+        for side in (0, 1):
+            for (_, a), (_, b) in zip(got[side].entries, want[side].entries):
+                assert list(a.mass.items()) == list(b.mass.items())
+
+
+class TestPopulationChecks:
+    """``generate_pair`` refuses what ``Generator.choice`` would, with a typed error."""
+
+    def _raises(self, population, match):
+        with pytest.raises(InvalidPopulationError, match=match) as caught:
+            generate_pair(population, 5, 5, OverlapSpec(0, 0, 0))
+        assert isinstance(caught.value, ValueError) and isinstance(caught.value, HistmatchError)
+
+    def test_empty(self):
+        self._raises([], "empty")
+
+    def test_unequal_lengths(self):
+        self._raises([np.full(10, 0.1), np.full(13, 1 / 13)], r"user 1's distribution has shape \(13,\)")
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.25, -math.inf])
+    def test_negative_or_nan(self, bad):
+        self._raises([np.array([0.5, 0.5]), np.array([1.25, bad])], "user 1's distribution has a negative or NaN")
+
+    def test_infinite(self):
+        self._raises([np.array([0.5, 0.5]), np.array([0.5, math.inf])], "user 1's distribution sums to inf")
+
+    def test_sum_not_one(self):
+        self._raises([np.array([0.5, 0.5 + 1e-6])], "sums to")
+
+    def test_sum_within_choice_tolerance(self):
+        left, _, _ = generate_pair([np.array([0.5, 0.5 + 1e-9])], 5, 5, OverlapSpec.full(1))
+        assert len(left) == 1
