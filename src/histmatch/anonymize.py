@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_array
 
-from .core import Histogram, HistogramSet, union_rows
+from .core import Histogram, HistogramSet
 from .errors import InvalidKError, PartitionCoverageError
 from .metrics import weight_l1
 
@@ -77,17 +78,16 @@ def _centroids(histograms: HistogramSet, clusters: list[tuple[int, ...]]) -> tup
     """
     hists, rows = histograms.histograms, histograms.rows
     column = dict(zip(histograms.locations, range(rows.shape[1])))
-    ptr = rows.indptr
     out = []
     for cluster in clusters:
         if len(cluster) == 1:
             out.append(hists[cluster[0]])
             continue
-        take = np.concatenate([np.arange(ptr[i], ptr[i + 1]) for i in cluster])
-        total = np.bincount(rows.indices[take], weights=rows.data[take], minlength=rows.shape[1])
+        members = np.zeros(len(hists), dtype=bool)
+        members[list(cluster)] = True
         keys = dict.fromkeys(chain.from_iterable(hists[i].mass for i in cluster))
         at = np.fromiter(map(column.__getitem__, keys), dtype=np.intp, count=len(keys))
-        out.append(Histogram(mass=dict(zip(keys, (total[at] * (1.0 / len(cluster))).tolist()))))
+        out.append(Histogram(mass=dict(zip(keys, _mean_row(rows, members)[at].tolist()))))
     return tuple(out)
 
 
@@ -139,7 +139,8 @@ def microaggregate(histograms: HistogramSet, k: int) -> tuple[ClusterPartition, 
         top = remaining[d >= d.max() - 2.0 * tol]
         anchor = int(top[0])
         if top.size > 1:
-            exact = _exact_l1(rows[top], csr_array(center[None, :]), np.zeros(top.size, dtype=np.intp))
+            sub = rows[top]
+            exact = _exact_l1(sub, center[sub.indices], repeat(_exact_sum(center.tolist())))
             anchor = int(top[exact.index(max(exact))])
         alive[anchor] = False
         members = [anchor]
@@ -178,25 +179,20 @@ def _exact_sum(values: list[float]) -> list[float]:
     return parts
 
 
-def _exact_l1(rows: csr_array, centers: csr_array, center_of: np.ndarray) -> list[float]:
-    """``weight_l1`` of row i against row ``center_of[i]`` of ``centers``, bit
-    for bit, in O(nnz) plus one pass over ``centers``.
+def _exact_l1(rows: csr_array, at: np.ndarray, totals: Iterable[list[float]]) -> list[float]:
+    """``weight_l1`` of each row against its center, bit for bit, in O(nnz).
 
+    ``at`` holds the center's mass at each stored entry of ``rows`` and
+    ``totals`` each row's center mass as the parts ``_exact_sum`` returns.
     With c the center and s the row's support, the sum
     sum_s |x - c| + sum c - sum_s c is in exact arithmetic the sum that
-    ``weight_l1`` hands to ``math.fsum``, and fsum rounds the two alike; sum c
-    enters as the few floats ``_exact_sum`` returns.
+    ``weight_l1`` hands to ``math.fsum``, and fsum rounds the two alike.
     """
-    at = np.asarray(centers[np.repeat(center_of, np.diff(rows.indptr)), rows.indices], dtype=np.float64)
     terms = np.empty(2 * at.size)
     terms[0::2] = np.abs(rows.data - at)
     terms[1::2] = -at
     ptr = (2 * rows.indptr).tolist()
-    totals = [_exact_sum(centers.data[a:b].tolist()) for a, b in zip(centers.indptr, centers.indptr[1:])]
-    return [
-        min(max(0.0, math.fsum(terms[a:b].tolist() + totals[q])), 2.0)
-        for a, b, q in zip(ptr, ptr[1:], center_of.tolist())
-    ]
+    return [min(max(0.0, math.fsum(terms[a:b].tolist() + total)), 2.0) for a, b, total in zip(ptr, ptr[1:], totals)]
 
 
 def information_loss(partition: ClusterPartition, histograms: HistogramSet) -> float:
@@ -209,12 +205,16 @@ def information_loss(partition: ClusterPartition, histograms: HistogramSet) -> f
     """
     if partition.owners() != set(histograms.owners):
         raise PartitionCoverageError("partition does not cover the histogram set's owners")
-    centroids = HistogramSet(tuple((str(q), c) for q, c in enumerate(partition.centroids)))
-    rows, centers = union_rows(histograms, centroids)
-    cluster_of = np.array([partition.cluster_of[owner] for owner in histograms.owners])
-    numerator = math.fsum(_exact_l1(rows, centers, cluster_of))
-    grand = csr_array(_mean_row(rows, np.ones(len(histograms), dtype=bool))[None, :])
-    denominator = math.fsum(_exact_l1(rows, grand, np.zeros(len(histograms), dtype=np.intp)))
+    rows, locations = histograms.rows, histograms.locations
+    cluster_of = [partition.cluster_of[owner] for owner in histograms.owners]
+    # Each stored entry's mass in its owner's centroid map.
+    maps = map(repeat, (partition.centroids[q].mass for q in cluster_of), np.diff(rows.indptr).tolist())
+    locs = np.array(locations, dtype=object)[rows.indices]
+    at = np.fromiter(map(dict.get, chain.from_iterable(maps), locs, repeat(0.0)), dtype=np.float64, count=rows.nnz)
+    totals = [_exact_sum(list(c.mass.values())) for c in partition.centroids]
+    numerator = math.fsum(_exact_l1(rows, at, map(totals.__getitem__, cluster_of)))
+    grand = _mean_row(rows, np.ones(len(histograms), dtype=bool))
+    denominator = math.fsum(_exact_l1(rows, grand[rows.indices], repeat(_exact_sum(grand.tolist()))))
     if denominator == 0.0:
         return 0.0
     return numerator / denominator

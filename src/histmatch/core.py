@@ -200,9 +200,9 @@ def union_rows(first: HistogramSet, second: HistogramSet) -> tuple[csr_array, cs
     """Both sets' rows over the union of their locations in first-use order:
     ``first``'s locations, then the ones only ``second`` uses.
 
-    ``first``'s rows are its own arrays under the wider shape; ``second``'s
-    are a copy with each column index remapped and each row re-sorted, so
-    both equal a fresh pack of the set over the union.
+    ``first``'s rows are its own arrays under the wider shape.  ``second``'s
+    share its ``data`` and ``indptr`` and remap each column index, so each row
+    keeps its set's order of columns, which need not ascend in the union.
     """
     column = dict(zip(first.locations, range(len(first.locations))))
     for loc in second.locations:
@@ -210,9 +210,7 @@ def union_rows(first: HistogramSet, second: HistogramSet) -> tuple[csr_array, cs
     a, b = first.rows, second.rows
     remap = np.fromiter(map(column.__getitem__, second.locations), dtype=b.indices.dtype, count=b.shape[1])
     widened = csr_array((a.data, a.indices, a.indptr), shape=(a.shape[0], len(column)))
-    remapped = csr_array((b.data.copy(), remap[b.indices], b.indptr), shape=(b.shape[0], len(column)))
-    remapped.sort_indices()
-    return widened, remapped
+    return widened, csr_array((b.data, remap[b.indices], b.indptr), shape=(b.shape[0], len(column)))
 
 
 def build_histogram(events: Iterable[str]) -> Histogram:
@@ -282,8 +280,8 @@ def quantize_geo(lat: float, lon: float, cell_side: float, origin: tuple[float, 
     lat0, lon0 = origin
     if not all(map(math.isfinite, (lat, lon, lat0, lon0))):
         raise InvalidCoordinateError(f"non-finite coordinate ({lat!r}, {lon!r})")
-    if cell_side <= 0:
-        raise ValueError("cell_side must be positive")
+    if not 0 < cell_side < math.inf:
+        raise ValueError(f"cell_side must be positive and finite, got {cell_side!r}")
     north = math.radians(lat - lat0) * EARTH_RADIUS_M
     east = math.radians(lon - lon0) * EARTH_RADIUS_M * math.cos(math.radians(lat0))
     return f"{math.floor(north / cell_side)}:{math.floor(east / cell_side)}"

@@ -16,6 +16,7 @@ runs once) and reported with a mean and a 90% bootstrap confidence interval.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -166,6 +167,7 @@ SCENARIOS = tuple(_SCENARIOS)
 
 _CONFIG_TYPES = {"scenario": str, "metrics": list, "repetitions": int, "seed": int, "params": dict, "workers": int}
 _EVENT_LOG_TYPES = {"event_log": str, "boundary": int, "geo_origin": list, "cell_sides": list}
+_POSITIVE_PARAMS = ("t", "n_users", "n_left", "n_right", "alphabet_size", "concentration")
 
 
 def _is(value, kind: type) -> bool:
@@ -207,22 +209,26 @@ class ExperimentConfig:
         self._check_params()
 
     def _check_params(self) -> None:
-        """Each ``params`` key is one the scenario reads, of its default's type; each grid is a
-        non-empty list of positive ints (numbers for ``cell_sides``); an event log needs both its fields."""
+        """Each ``params`` key is one the scenario reads, of its default's type; sizes, string
+        lengths and the concentration are positive and finite; each grid is a non-empty list of
+        positive ints (finite numbers for ``cell_sides``); ``geo_origin`` holds two finite numbers;
+        an event log needs both its fields."""
         scenario = _SCENARIOS[self.scenario]
         types = {key: type(default) for key, default in scenario.defaults.items()}
         if self.scenario == "aggregate":
             types.update(_EVENT_LOG_TYPES)
-        grids = {scenario.grid_key: (int, "ints"), "cell_sides": (float, "numbers")}
+        grids = {scenario.grid_key: (int, "ints"), "cell_sides": (float, "numbers, all finite")}
         for key, value in self.params.items():
             if key not in types:
                 raise ConfigError(f"unknown param {key!r} for scenario {self.scenario!r}")
             if key not in grids:
                 _require_type(key, value, types[key])
-            elif not (_is(value, list) and value and all(_is(v, grids[key][0]) and v > 0 for v in value)):
+            elif not (_is(value, list) and value and all(_is(v, grids[key][0]) and 0 < v < math.inf for v in value)):
                 raise ConfigError(f"{key} must be a non-empty list of positive {grids[key][1]}")
-            if key == "geo_origin" and (len(value) != 2 or not all(_is(v, float) for v in value)):
-                raise ConfigError("geo_origin must be a list of two numbers")
+            if key in _POSITIVE_PARAMS and not 0 < value < math.inf:
+                raise ConfigError(f"{key} must be positive and finite, got {value!r}")
+            if key == "geo_origin" and (len(value) != 2 or not all(_is(v, float) and math.isfinite(v) for v in value)):
+                raise ConfigError("geo_origin must be a list of two numbers, both finite")
         if self.params.get("event_log"):
             for key in ("cell_sides", "boundary"):
                 if key not in self.params:

@@ -44,8 +44,9 @@ class PopulationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_users <= 0 or self.alphabet_size <= 0 or self.concentration <= 0:
-            raise ValueError("population parameters must be positive")
+        # A NaN or infinite concentration draws all-NaN rows of equal bytes, redrawn forever.
+        if self.n_users <= 0 or self.alphabet_size <= 0 or not 0 < self.concentration < math.inf:
+            raise ValueError("population parameters must be positive and finite")
         if self.n_users > 1 and self.alphabet_size < 2:
             # A Dirichlet over one location always draws [1.0], so no second
             # distinct user can ever be drawn.

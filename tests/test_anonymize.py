@@ -379,6 +379,23 @@ class TestInformationLoss:
             information_loss(partition, hset)
         assert isinstance(caught.value, HistmatchError)
 
+    def test_centroids_off_the_input_support_match_oracle(self, rng):
+        # Hand-built centroids that are not means and put mass where no input does.
+        hset = random_histogram_set(rng, 10, 12, max_support=6)
+        owners = hset.owners
+        clusters = (owners[:3], owners[3:7], owners[7:])
+        mixed = {loc: 0.75 * p for loc, p in hset.histograms[4].mass.items()}
+        centroids = (H({"nowhere": 1.0}), H({**mixed, "elsewhere": 0.25}), hset.histograms[8])
+        partition = ClusterPartition(clusters=clusters, centroids=centroids)
+        assert 0.0 < information_loss(partition, hset) == _oracle_information_loss(partition, hset)
+
+    def test_repeated_objects_match_oracle(self, rng):
+        # The input repeats objects, and two clusters share one centroid object.
+        pool = random_histogram_set(rng, 4, 10, max_support=5).histograms
+        hset = HistogramSet(tuple((f"u{i}", pool[j]) for i, j in enumerate([1, 3, 1, 0, 2, 1, 3, 0, 2])))
+        partition = ClusterPartition(clusters=(hset.owners[:5], hset.owners[5:]), centroids=(pool[1], pool[1]))
+        assert 0.0 < information_loss(partition, hset) == _oracle_information_loss(partition, hset)
+
     def test_mean_loss_nondecreasing_in_k(self, rng):
         ks = [1, 2, 3, 5, 10]
         sums = np.zeros(len(ks))

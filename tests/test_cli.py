@@ -306,6 +306,24 @@ class TestIngestCommand:
             "error": "HistmatchError", "message": "expected 'lat,lon', got '39.9;116.3'",
         }
 
+    @pytest.mark.parametrize("side", ["inf", "nan"])
+    def test_geo_grid_not_finite(self, tmp_path, capsys, side):
+        # An infinite cell side once put every point in cell 0:0.
+        events = tmp_path / "events.csv"
+        events.write_text('user,timestamp,location\nu1,10,"39.9,116.3"\nu1,900,"40.9,116.3"\n')
+        code, out, err = run_cli(
+            capsys,
+            "ingest",
+            "--events", str(events), "--boundary", "500",
+            "--out-left", str(tmp_path / "l.csv"), "--out-right", str(tmp_path / "r.csv"),
+            "--geo-grid", side,
+        )
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ValueError", "message": f"cell_side must be positive and finite, got {float(side)!r}",
+        }
+        assert not (tmp_path / "l.csv").exists()
+
     def test_aggregation_table(self, tmp_path, capsys):
         events = tmp_path / "events.csv"
         events.write_text(
@@ -456,6 +474,33 @@ class TestOneLocationAlphabet:
         out = self._run("experiment", "--config", config, "--out-dir", tmp_path / "o")
         assert out.returncode == 1
         assert json.loads(out.stderr)["error"] == "ValueError"
+
+
+class TestNonFiniteConcentration:
+    """A NaN or infinite Dirichlet concentration once redrew its all-NaN rows
+    forever.  Each command runs in a subprocess so that a hang fails the test
+    instead of the suite."""
+
+    _run = TestOneLocationAlphabet._run
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_synth_concentration(self, tmp_path, alpha):
+        out = self._run("synth", "--users", "3", "--alphabet", "5", "--alpha", alpha,
+                        "--out-left", tmp_path / "l.csv", "--out-right", tmp_path / "r.csv")
+        assert out.returncode == 1
+        assert json.loads(out.stderr) == {
+            "error": "ValueError", "message": "population parameters must be positive and finite",
+        }
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_experiment_concentration(self, tmp_path, value):
+        config = tmp_path / "c.json"
+        config.write_text('{"scenario": "vary_n", "repetitions": 1, "params": {"concentration": %s}}' % value)
+        out = self._run("experiment", "--config", config, "--out-dir", tmp_path / "o")
+        assert out.returncode == 1
+        assert json.loads(out.stderr) == {
+            "error": "ConfigError", "message": f"concentration must be positive and finite, got {float(value)!r}",
+        }
 
 
 class TestSolverFreeCommands:

@@ -207,6 +207,11 @@ class TestQuantizeGeo:
         with pytest.raises(ValueError):
             quantize_geo(0.0, 0.0, 0.0, (0.0, 0.0))
 
+    @pytest.mark.parametrize("side", [math.inf, math.nan, -math.inf])
+    def test_non_finite_cell_side(self, side):
+        with pytest.raises(ValueError, match="positive and finite"):
+            quantize_geo(0.0, 0.0, side, (0.0, 0.0))
+
 
 class TestSuppress:
     def test_proportional(self):
@@ -315,7 +320,8 @@ def assert_union_packed(a, b):
     locations = tuple(dict.fromkeys(loc for s in (a, b) for h in s.histograms for loc in h.mass))
     first, second = union_rows(a, b)
     assert_packed(first, a, locations)
-    assert_packed(second, b, locations)
+    # ``second`` keeps its set's order of columns within a row.
+    assert_packed(second.sorted_indices(), b, locations)
     assert np.shares_memory(first.data, a.rows.data) and np.shares_memory(first.indices, a.rows.indices)
 
 
@@ -332,6 +338,18 @@ class TestPackedRows:
             b = random_histogram_set(rng, 25, 50, max_support=8)
             assert_union_packed(a, b)
             assert_union_packed(b, a)
+
+    def test_union_shares_second_set_arrays(self, rng):
+        a = random_histogram_set(rng, 20, 30, max_support=8)
+        b = random_histogram_set(rng, 25, 50, max_support=8)
+        _, second = union_rows(a, b)
+        assert np.shares_memory(second.data, b.rows.data) and np.shares_memory(second.indptr, b.rows.indptr)
+        union = tuple(dict.fromkeys(a.locations + b.locations))
+        indptr, indices, data = reference_pack(b, union)
+        for r in range(len(b)):
+            span = slice(indptr[r], indptr[r + 1])
+            got = zip(second.indices[span].tolist(), second.data[span].tolist())
+            assert sorted(got) == list(zip(indices[span], data[span]))
 
     def test_row_classes(self):
         half = {"A": 0.5, "B": 0.5}

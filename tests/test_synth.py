@@ -55,6 +55,11 @@ class TestPopulation:
             PopulationSpec(2, 1, 0.1)
         assert len(sample_population(PopulationSpec(1, 1, 0.1))) == 1
 
+    @pytest.mark.parametrize("concentration", [math.nan, math.inf, -math.inf])
+    def test_non_finite_concentration_rejected(self, concentration):
+        with pytest.raises(ValueError, match="positive and finite"):
+            PopulationSpec(3, 5, concentration)
+
 
 class TestOverlapSpec:
     def test_full(self):
