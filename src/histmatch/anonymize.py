@@ -222,6 +222,6 @@ def information_loss(partition: ClusterPartition, histograms: HistogramSet) -> f
 
 def verify_k_anonymity(released: HistogramSet, k: int) -> bool:
     """True when every released histogram's sparse map is exactly equal to the
-    maps of at least k-1 other released histograms: every class of
-    ``HistogramSet.row_classes`` has at least k rows."""
-    return bool(np.all(np.bincount(released.row_classes[0]) >= k))
+    maps of at least k-1 other released histograms: every distinct row of
+    ``HistogramSet.row_classes`` is at least k entries' row."""
+    return bool(np.all(np.bincount(released.row_classes[1]) >= k))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import sys
 import time
@@ -30,7 +31,7 @@ from .core import (
     quantize_geo,
     split_by_period,
 )
-from .errors import HistmatchError
+from .errors import HistmatchError, InvalidCoordinateError, InvalidOverlapError
 from .harness import ExperimentConfig, run_experiment
 from .matcher import (
     build_instance,
@@ -63,9 +64,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_ingest(args) -> int:
+    origin = parse_latlon(args.geo_origin) if args.geo_grid is not None else None
+    if origin is not None and not all(map(math.isfinite, origin)):
+        raise InvalidCoordinateError(f"non-finite --geo-origin {args.geo_origin!r}")
     log = hio.read_event_log(args.events)
-    if args.geo_grid is not None:
-        origin = parse_latlon(args.geo_origin)
+    if origin is not None:
         cells = tuple(quantize_geo(*parse_latlon(loc), args.geo_grid, origin) for loc in log.locations)
         log = replace(log, locations=cells)
     first, second = split_by_period(log, args.boundary)
@@ -129,8 +132,10 @@ def _cmd_anonymize(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    n_left = args.n_left or args.users
-    n_right = args.n_right or args.users
+    n_left = args.users if args.n_left is None else args.n_left
+    n_right = args.users if args.n_right is None else args.n_right
+    if min(n_left, n_right) < 1:
+        raise InvalidOverlapError(f"each side needs at least one user, got n_left={n_left}, n_right={n_right}")
     r = args.overlap if args.overlap is not None else min(n_left, n_right)
     overlap = OverlapSpec(n_left=n_left, n_right=n_right, r=r)
     spec = PopulationSpec(

@@ -2,9 +2,9 @@
 
 Histograms are stored sparsely (location id -> probability); the location
 alphabet is implicit and absent ids carry probability zero.  Bulk kernels read
-a histogram set as CSR rows over its locations (``HistogramSet.rows``), packed
-once per set.  All types are immutable after construction and all operations
-are pure functions.
+a histogram set as CSR rows over its locations, packed once per set into one
+row per distinct map (``HistogramSet.row_classes``).  All types are immutable
+after construction and all operations are pure functions.
 """
 from __future__ import annotations
 
@@ -117,64 +117,59 @@ class HistogramSet:
         return self.entries[self._owner_index[owner]][1]
 
     @cached_property
-    def _distinct(self) -> tuple[tuple[Histogram, ...], np.ndarray]:
-        """Each distinct histogram object, by identity in order of first
-        occurrence, and the position of every entry's object among them."""
-        hists = self.histograms
-        position: dict[int, int] = {}
-        of_row = np.fromiter((position.setdefault(id(h), len(position)) for h in hists), dtype=np.intp, count=len(hists))
-        return tuple({id(h): h for h in hists}.values()), of_row
-
-    @cached_property
     def locations(self) -> tuple[str, ...]:
         """Every location the set uses, in the order of first use."""
-        return tuple(dict.fromkeys(chain.from_iterable(h.mass for h in self._distinct[0])))
+        objects = {id(h): h for h in self.histograms}.values()
+        return tuple(dict.fromkeys(chain.from_iterable(h.mass for h in objects)))
+
+    @cached_property
+    def row_classes(self) -> tuple[csr_array, np.ndarray]:
+        """The set's packed form: one CSR row per distinct map over
+        ``locations``, in order of first occurrence with each row's columns
+        ascending, and each entry's row in it.  Each distinct histogram object
+        is packed once.  With ascending columns and positive, finite masses,
+        two packed rows' bytes are equal exactly when their maps are, and such
+        rows are kept once.  The arrays are shared by every caller and read-only."""
+        hists = self.histograms
+        objects = {id(h): h for h in hists}
+        position = dict(zip(objects, range(len(objects))))
+        of_object = np.fromiter(map(position.__getitem__, map(id, hists)), dtype=np.intp, count=len(hists))
+        column = dict(zip(self.locations, range(len(self.locations))))
+        # The index width scipy would pick for the gathered ``rows``, so that
+        # neither its constructor nor the gather copies.
+        largest = max(sum(len(h.mass) for h in hists), len(column))
+        index_dtype = np.int32 if largest < 2**31 else np.int64
+        indptr = np.zeros(len(objects) + 1, dtype=index_dtype)
+        np.cumsum([len(h.mass) for h in objects.values()], out=indptr[1:])
+        nnz = int(indptr[-1])
+        locs = chain.from_iterable(h.mass for h in objects.values())
+        indices = np.fromiter(map(column.__getitem__, locs), dtype=index_dtype, count=nnz)
+        data = np.fromiter(chain.from_iterable(h.mass.values() for h in objects.values()), dtype=np.float64, count=nnz)
+        packed = csr_array((data, indices, indptr), shape=(len(objects), len(column)))
+        packed.sort_indices()
+        ptr = packed.indptr.tolist()
+        keys = ((packed.indices[a:b].tobytes(), packed.data[a:b].tobytes()) for a, b in zip(ptr, ptr[1:]))
+        # Each object's first object of equal bytes; their row is its rank among those.
+        first: dict[tuple[bytes, bytes], int] = {}
+        of_first = np.fromiter((first.setdefault(key, i) for i, key in enumerate(keys)), dtype=np.intp, count=len(objects))
+        kept = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+        distinct = packed if kept.size == len(objects) else packed[kept]
+        of_row = np.searchsorted(kept, of_first)[of_object]
+        for array in (distinct.data, distinct.indices, distinct.indptr, of_row):
+            array.flags.writeable = False
+        return distinct, of_row
 
     @cached_property
     def rows(self) -> csr_array:
-        """One CSR row per histogram, in set order, over ``locations``, with
-        each row's columns ascending.  Each distinct histogram object is
-        packed once and its row repeated by a gather.  The arrays are shared
-        by every caller and read-only."""
-        hists, of_row = self._distinct
-        column = dict(zip(self.locations, range(len(self.locations))))
-        lengths = [len(h.mass) for h in hists]
-        nnz = sum(lengths)
-        # The index width scipy would pick for the gathered rows, so that
-        # neither its constructor nor the gather copies.
-        largest = max(sum(len(h.mass) for h in self.histograms), len(column))
-        index_dtype = np.int32 if largest < 2**31 else np.int64
-        indptr = np.zeros(len(hists) + 1, dtype=index_dtype)
-        np.cumsum(lengths, out=indptr[1:])
-        locs = chain.from_iterable(h.mass for h in hists)
-        indices = np.fromiter(map(column.__getitem__, locs), dtype=index_dtype, count=nnz)
-        data = np.fromiter(chain.from_iterable(h.mass.values() for h in hists), dtype=np.float64, count=nnz)
-        rows = csr_array((data, indices, indptr), shape=(len(hists), len(column)))
-        rows.sort_indices()
-        if len(hists) < len(of_row):
-            rows = rows[of_row]
+        """One CSR row per entry, in set order: ``row_classes`` gathered by
+        each entry's row, or its form itself when no row repeats.  Read-only."""
+        distinct, of_row = self.row_classes
+        if distinct.shape[0] == len(of_row):
+            return distinct
+        rows = distinct[of_row]
         for array in (rows.data, rows.indices, rows.indptr):
             array.flags.writeable = False
         return rows
-
-    @cached_property
-    def row_classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's class of identical rows, numbered in order of first
-        occurrence, and the first row of each class; both read-only.  With
-        ascending columns and positive, finite masses, two packed rows' bytes
-        are equal exactly when their maps are.  Only the first row of each
-        distinct histogram object is keyed."""
-        rows, (hists, of_row) = self.rows, self._distinct
-        ptr = rows.indptr.tolist()
-        first: dict[tuple[bytes, bytes], int] = {}
-        starts = np.unique(of_row, return_index=True)[1].tolist()
-        keys = ((rows.indices[ptr[r] : ptr[r + 1]].tobytes(), rows.data[ptr[r] : ptr[r + 1]].tobytes()) for r in starts)
-        of_object = np.fromiter((first.setdefault(key, len(first)) for key in keys), dtype=np.intp, count=len(hists))
-        of_row = of_object[of_row]
-        firsts = np.unique(of_row, return_index=True)[1]
-        for array in (of_row, firsts):
-            array.flags.writeable = False
-        return of_row, firsts
 
 
 @dataclass(frozen=True)
@@ -197,8 +192,9 @@ class GroundTruth:
 
 
 def union_rows(first: HistogramSet, second: HistogramSet) -> tuple[csr_array, csr_array]:
-    """Both sets' rows over the union of their locations in first-use order:
-    ``first``'s locations, then the ones only ``second`` uses.
+    """Both sets' distinct rows (``HistogramSet.row_classes``) over the union
+    of their locations in first-use order: ``first``'s locations, then the
+    ones only ``second`` uses.
 
     ``first``'s rows are its own arrays under the wider shape.  ``second``'s
     share its ``data`` and ``indptr`` and remap each column index, so each row
@@ -207,7 +203,7 @@ def union_rows(first: HistogramSet, second: HistogramSet) -> tuple[csr_array, cs
     column = dict(zip(first.locations, range(len(first.locations))))
     for loc in second.locations:
         column.setdefault(loc, len(column))
-    a, b = first.rows, second.rows
+    a, b = first.row_classes[0], second.row_classes[0]
     remap = np.fromiter(map(column.__getitem__, second.locations), dtype=b.indices.dtype, count=b.shape[1])
     widened = csr_array((a.data, a.indices, a.indptr), shape=(a.shape[0], len(column)))
     return widened, csr_array((b.data, remap[b.indices], b.indptr), shape=(b.shape[0], len(column)))

@@ -157,11 +157,6 @@ def _row_fsums(rows: csr_array, values: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(values[a:b].tolist()) for a, b in zip(ptr, ptr[1:])])
 
 
-def _distinct(rows: csr_array, firsts: np.ndarray) -> csr_array:
-    """The rows listed in ``firsts``; ``rows`` itself when that is all of them."""
-    return rows if firsts.size == rows.shape[0] else rows[firsts]
-
-
 def weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -> np.ndarray:
     """Dense distance-oriented weight matrix between two histogram sets.
 
@@ -172,8 +167,6 @@ def weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -
     # by the last bit, so this order is kept fixed.  A pair's weight depends on
     # its two rows alone, so it is computed once per pair of distinct rows.
     lrows, rrows = union_rows(left, right)
-    (lclass, lfirsts), (rclass, rfirsts) = left.row_classes, right.row_classes
-    lrows, rrows = _distinct(lrows, lfirsts), _distinct(rrows, rfirsts)
     if metric in (MetricKind.COSINE, MetricKind.DOT):
         dots = (lrows @ rrows.T).toarray()
         if metric is MetricKind.COSINE:
@@ -189,8 +182,8 @@ def weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -
             w *= LN2
         _subtract_shared_columns(w, lrows, rrows, metric)
     np.clip(w, 0.0, metric.max_distance, out=w)
-    if lfirsts.size < len(lclass) or rfirsts.size < len(rclass):
-        w = w[np.ix_(lclass, rclass)]
+    if w.shape != (len(left), len(right)):
+        w = w[np.ix_(left.row_classes[1], right.row_classes[1])]
     return w
 
 

@@ -73,6 +73,22 @@ class TestSynthCommand:
         t = hio.read_truth(tmp_path / "t.csv")
         assert len(t) == 4
 
+    @pytest.mark.parametrize("side", ["--n-left", "--n-right"])
+    def test_side_of_zero_users(self, tmp_path, capsys, side):
+        code, out, err = run_cli(
+            capsys,
+            "synth", "--users", "5", side, "0", "--alphabet", "20", "--t1", "50", "--t2", "50",
+            "--out-left", str(tmp_path / "l.csv"), "--out-right", str(tmp_path / "r.csv"),
+            "--out-meta", str(tmp_path / "meta.json"),
+        )
+        assert code == 1 and out == ""
+        n_left, n_right = (0, 5) if side == "--n-left" else (5, 0)
+        assert json.loads(err) == {
+            "error": "InvalidOverlapError",
+            "message": f"each side needs at least one user, got n_left={n_left}, n_right={n_right}",
+        }
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestMatchCommand:
     def test_a1_recovers_truth(self, tmp_path, capsys, synth_files):
@@ -323,6 +339,32 @@ class TestIngestCommand:
             "error": "ValueError", "message": f"cell_side must be positive and finite, got {float(side)!r}",
         }
         assert not (tmp_path / "l.csv").exists()
+
+    @pytest.mark.parametrize("origin", ["nan,0", "inf,0"])
+    def test_geo_origin_not_finite(self, tmp_path, capsys, origin):
+        events = tmp_path / "events.csv"
+        events.write_text('user,timestamp,location\nu1,10,"39.9,116.3"\nu1,900,"40.9,116.3"\n')
+        code, out, err = run_cli(
+            capsys,
+            "ingest",
+            "--events", str(events), "--boundary", "500",
+            "--out-left", str(tmp_path / "l.csv"), "--out-right", str(tmp_path / "r.csv"),
+            "--geo-grid", "100", "--geo-origin", origin,
+        )
+        assert code == 1
+        assert json.loads(err) == {"error": "InvalidCoordinateError", "message": f"non-finite --geo-origin {origin!r}"}
+        assert not (tmp_path / "l.csv").exists()
+
+    def test_geo_origin_checked_before_reading(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "ingest",
+            "--events", str(tmp_path / "missing.csv"), "--boundary", "500",
+            "--out-left", str(tmp_path / "l.csv"), "--out-right", str(tmp_path / "r.csv"),
+            "--geo-grid", "100", "--geo-origin", "x,y",
+        )
+        assert code == 1
+        assert json.loads(err) == {"error": "HistmatchError", "message": "expected numeric 'lat,lon', got 'x,y'"}
 
     def test_aggregation_table(self, tmp_path, capsys):
         events = tmp_path / "events.csv"

@@ -316,13 +316,23 @@ def assert_packed(rows, hset, locations):
     assert rows.data.tolist() == data
 
 
+def distinct_maps(hset):
+    """The set's first entry of each distinct map, in set order."""
+    entries = []
+    for owner, h in hset.entries:
+        if all(h.mass != g.mass for _, g in entries):
+            entries.append((owner, h))
+    return HistogramSet(tuple(entries))
+
+
 def assert_union_packed(a, b):
     locations = tuple(dict.fromkeys(loc for s in (a, b) for h in s.histograms for loc in h.mass))
     first, second = union_rows(a, b)
-    assert_packed(first, a, locations)
+    assert_packed(first, distinct_maps(a), locations)
     # ``second`` keeps its set's order of columns within a row.
-    assert_packed(second.sorted_indices(), b, locations)
-    assert np.shares_memory(first.data, a.rows.data) and np.shares_memory(first.indices, a.rows.indices)
+    assert_packed(second.sorted_indices(), distinct_maps(b), locations)
+    distinct = a.row_classes[0]
+    assert np.shares_memory(first.data, distinct.data) and np.shares_memory(first.indices, distinct.indices)
 
 
 class TestPackedRows:
@@ -343,10 +353,11 @@ class TestPackedRows:
         a = random_histogram_set(rng, 20, 30, max_support=8)
         b = random_histogram_set(rng, 25, 50, max_support=8)
         _, second = union_rows(a, b)
-        assert np.shares_memory(second.data, b.rows.data) and np.shares_memory(second.indptr, b.rows.indptr)
+        distinct = b.row_classes[0]
+        assert np.shares_memory(second.data, distinct.data) and np.shares_memory(second.indptr, distinct.indptr)
         union = tuple(dict.fromkeys(a.locations + b.locations))
-        indptr, indices, data = reference_pack(b, union)
-        for r in range(len(b)):
+        indptr, indices, data = reference_pack(distinct_maps(b), union)
+        for r in range(distinct.shape[0]):
             span = slice(indptr[r], indptr[r + 1])
             got = zip(second.indices[span].tolist(), second.data[span].tolist())
             assert sorted(got) == list(zip(indices[span], data[span]))
@@ -355,10 +366,11 @@ class TestPackedRows:
         half = {"A": 0.5, "B": 0.5}
         masses = [half, {"C": 1.0}, {"B": 0.5, "A": 0.5}, {"A": 0.5, "B": math.nextafter(0.5, 1.0)}, half]
         hset = HistogramSet(tuple((f"u{i}", Histogram.from_mass(m, sample_count=i)) for i, m in enumerate(masses)))
-        of_row, firsts = hset.row_classes
+        distinct, of_row = hset.row_classes
         assert of_row.tolist() == [0, 1, 0, 2, 0]
-        assert firsts.tolist() == [0, 1, 3]
+        assert_packed(distinct, HistogramSet(tuple(hset.entries[i] for i in (0, 1, 3))), hset.locations)
         assert hset.row_classes is hset.row_classes
+        assert_packed(hset.rows, hset, hset.locations)
 
     def test_union_disjoint(self, rng):
         a = random_histogram_set(rng, 10, 20)
@@ -369,6 +381,16 @@ class TestPackedRows:
     def test_union_with_itself(self, rng):
         a = random_histogram_set(rng, 15, 25, max_support=6)
         assert_union_packed(a, a)
+        # repeated objects and equal copies keep one row per distinct map
+        pool = a.histograms[:4]
+        picks = [1, 0, 1, 3, 0, 1]
+        repeats = HistogramSet(
+            tuple((f"u{i}", pool[j] if i % 2 else Histogram.from_mass(pool[j].mass)) for i, j in enumerate(picks))
+        )
+        assert repeats.row_classes[0].shape[0] == 3
+        assert_union_packed(repeats, repeats)
+        assert_union_packed(repeats, a)
+        assert_union_packed(a, repeats)
 
     def test_rows_are_read_only(self, rng):
         rows = random_histogram_set(rng, 5, 10).rows
@@ -403,8 +425,12 @@ class TestRepeatedObjects:
         return shared, copies
 
     @staticmethod
-    def arrays(hset):
-        return [hset.rows.data, hset.rows.indices, hset.rows.indptr, *hset.row_classes]
+    def form_arrays(hset):
+        distinct, of_row = hset.row_classes
+        return [distinct.data, distinct.indices, distinct.indptr, of_row]
+
+    def arrays(self, hset):
+        return [hset.rows.data, hset.rows.indices, hset.rows.indptr, *self.form_arrays(hset)]
 
     def assert_same_pack(self, got, want):
         assert got.locations == want.locations
@@ -417,7 +443,8 @@ class TestRepeatedObjects:
     def test_equal_to_distinct_copies(self, rng):
         shared, copies = self.sets(rng)
         self.assert_same_pack(shared, copies)
-        assert shared.row_classes[0].tolist() == [0, 1, 0, 0, 2, 1, 3, 2, 0]
+        assert shared.row_classes[1].tolist() == [0, 1, 0, 0, 2, 1, 3, 2, 0]
+        assert_packed(shared.row_classes[0], distinct_maps(shared), shared.locations)
 
     def test_equal_after_pickling(self, rng):
         shared, copies = self.sets(rng)
@@ -430,5 +457,6 @@ class TestRepeatedObjects:
 
     def test_row_classes_before_rows(self, rng):
         shared, copies = self.sets(rng)
-        for a, b in zip(shared.row_classes, copies.row_classes):
+        for a, b in zip(self.form_arrays(shared), self.form_arrays(copies)):
+            assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()

@@ -426,8 +426,8 @@ class TestRunExperiment:
 
     def test_kanon_packs_each_set_once(self, monkeypatch):
         packed = []
-        pack = HistogramSet.rows.func
-        monkeypatch.setattr(HistogramSet.rows, "func", lambda hset: packed.append(hset) or pack(hset))
+        pack = HistogramSet.row_classes.func
+        monkeypatch.setattr(HistogramSet.row_classes, "func", lambda hset: packed.append(hset) or pack(hset))
         params = {"k_values": [3], "n_users": 30, "alphabet_size": 50, "t": 40}
         for metrics in (["proposed"], ["proposed", "l1", "cosine", "dot"]):
             packed.clear()

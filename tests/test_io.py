@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from histmatch import io as hio
-from histmatch.anonymize import microaggregate, information_loss
+from histmatch.anonymize import information_loss, microaggregate, verify_k_anonymity
 from histmatch.core import GroundTruth, Histogram, HistogramSet
 from histmatch.errors import FileFormatError
 from histmatch.matcher import build_instance, match_min_weight
-from histmatch.metrics import MetricKind
+from histmatch.metrics import MetricKind, weight_matrix
+from histmatch.synth import OverlapSpec, PopulationSpec, generate_pair, sample_population
 from tests.conftest import random_histogram_set
 
 H = Histogram.from_mass
@@ -80,6 +81,23 @@ class TestHistogramSet:
         assert loaded.owners == hset.owners
         for a, b in zip(loaded.histograms, hset.histograms):
             assert a.mass == b.mass
+
+    def test_release_roundtrip_shares_rows_by_content(self, tmp_path):
+        # Read back, every owner has a map of its own, yet equal maps still
+        # pack to one row per cluster and give the in-memory release's weights.
+        population = sample_population(PopulationSpec(40, 120, 1.0, 5))
+        left, right, _ = generate_pair(population, 80, 80, OverlapSpec.full(40), 5)
+        k = 4
+        partition, released = microaggregate(left, k)
+        path = tmp_path / "released.csv"
+        hio.write_histogram_set(released, path)
+        loaded = hio.read_histogram_set(path)
+        assert len({id(h.mass) for h in loaded.histograms}) == len(loaded)
+        assert loaded.row_classes[0].shape[0] == partition.g < len(loaded)
+        assert verify_k_anonymity(loaded, k) and not verify_k_anonymity(loaded, 2 * k)
+        for metric in MetricKind:
+            assert weight_matrix(loaded, right, metric).tobytes() == weight_matrix(released, right, metric).tobytes()
+            assert weight_matrix(right, loaded, metric).tobytes() == weight_matrix(right, released, metric).tobytes()
 
     def test_sum_tolerance_renormalizes(self, tmp_path):
         path = tmp_path / "h.csv"
