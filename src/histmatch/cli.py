@@ -64,6 +64,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_ingest(args) -> int:
+    if args.geo_grid is not None and not 0 < args.geo_grid < math.inf:
+        raise ValueError(f"cell_side must be positive and finite, got {args.geo_grid!r}")
     origin = parse_latlon(args.geo_origin) if args.geo_grid is not None else None
     if origin is not None and not all(map(math.isfinite, origin)):
         raise InvalidCoordinateError(f"non-finite --geo-origin {args.geo_origin!r}")

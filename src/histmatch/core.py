@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
 from typing import Iterable, Mapping
@@ -83,27 +83,99 @@ class Histogram:
         return cls(mass=dict(mass), sample_count=sample_count)
 
 
-@dataclass(frozen=True)
 class HistogramSet:
-    """Ordered collection of (owner id, histogram) pairs."""
+    """Ordered collection of (owner id, histogram) pairs, immutable.
 
-    entries: tuple[tuple[str, Histogram], ...]
+    A set is built from its entries, or by ``from_rows`` from one packed row
+    per entry.  A set built from rows holds only arrays: its ``entries``,
+    ``histograms`` and ``histogram()`` are ``Histogram`` views built on first
+    use, which ``len``, ``owners``, ``locations`` and the packed forms never need.
+    """
 
-    def __post_init__(self):
-        owners = [o for o, _ in self.entries]
+    # Each entry's row in its map's own key order, for a set built from rows.
+    _key_rows: csr_array | None = None
+
+    def __init__(self, entries: Iterable[tuple[str, Histogram]]):
+        entries = tuple(entries)
+        owners = tuple(o for o, _ in entries)
         if len(set(owners)) != len(owners):
             raise ValueError("owner ids must be unique within a histogram set")
+        self.__dict__.update(entries=entries, owners=owners)
 
-    def __getstate__(self) -> dict:
-        """The fields only: an unpickled set rebuilds its caches, so ``rows`` stay read-only."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    @classmethod
+    def from_rows(cls, owners: Iterable[str], locations: Iterable[str], rows: csr_array) -> "HistogramSet":
+        """The set whose entry i maps each column j of row i of ``rows`` to
+        ``locations[j]``, under owner ``owners[i]``, in the row's stored order.
+
+        ``locations`` are distinct and listed in the order the entries first
+        use them, as the ``locations`` of the same maps built as ``Histogram``
+        objects.  One vectorized pass checks that and what ``Histogram`` and
+        ``__init__`` check: rows non-empty, masses positive and finite, each
+        row's ``math.fsum`` within ``MASS_ATOL`` of 1, no column twice in a
+        row, owners unique.  The set keeps ``rows``' arrays and makes them
+        read-only, and packs them at once (``row_classes``).
+        """
+        owners, locations = tuple(owners), tuple(locations)
+        if rows.shape != (len(owners), len(locations)):
+            raise ValueError(f"rows of shape {rows.shape} for {len(owners)} owners and {len(locations)} locations")
+        if len(set(owners)) != len(owners):
+            raise ValueError("owner ids must be unique within a histogram set")
+        if len(set(locations)) != len(locations):
+            raise ValueError("locations must be distinct")
+        indices, data = rows.indices, rows.data
+        if not np.all(np.diff(rows.indptr) > 0):
+            raise ValueError("histogram must have at least one entry")
+        if data.size and not (data.min() > 0.0 and data.max() < math.inf):
+            raise ValueError("histogram entries must be strictly positive and finite")
+        if not _in_first_use_order(indices, len(locations)):
+            raise ValueError("locations are not listed in the order the rows first use them")
+        for _, total in row_sums_off(rows, MASS_ATOL)[:1]:
+            raise ValueError(f"histogram mass sums to {total!r}, not 1")
+        distinct, of_row = _pack(rows.copy())
+        ptr, columns = distinct.indptr, distinct.indices
+        repeats = columns[1:] == columns[:-1]
+        repeats[ptr[1:-1] - 1] = False  # a row's first column follows the previous row's last
+        if repeats.any():
+            raise ValueError("a location appears twice in one histogram")
+        for array in (rows.data, rows.indices, rows.indptr):
+            array.flags.writeable = False
+        hset = cls.__new__(cls)
+        hset.__dict__.update(owners=owners, locations=locations, _key_rows=rows, row_classes=(distinct, of_row))
+        return hset
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a HistogramSet is immutable")
+
+    def __reduce__(self):
+        """Only what the set was built from: an unpickled set rebuilds its
+        caches, so ``rows`` stay read-only, and a set built from rows stays
+        without maps."""
+        if self._key_rows is None:
+            return HistogramSet, (self.entries,)
+        return HistogramSet.from_rows, (self.owners, self.locations, self._key_rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, HistogramSet):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"HistogramSet(entries={self.entries!r})"
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.owners)
 
     @cached_property
-    def owners(self) -> tuple[str, ...]:
-        return tuple(o for o, _ in self.entries)
+    def entries(self) -> tuple[tuple[str, Histogram], ...]:
+        """Each owner with its map, built from the rows of a set built from them."""
+        rows = self._key_rows
+        keys = list(map(self.locations.__getitem__, rows.indices.tolist()))
+        masses = rows.data.tolist()
+        ptr = rows.indptr.tolist()
+        return tuple(
+            (owner, Histogram(mass=dict(zip(keys[a:b], masses[a:b]))))
+            for owner, a, b in zip(self.owners, ptr, ptr[1:])
+        )
 
     @cached_property
     def histograms(self) -> tuple[Histogram, ...]:
@@ -111,7 +183,7 @@ class HistogramSet:
 
     @cached_property
     def _owner_index(self) -> dict[str, int]:
-        return {o: i for i, (o, _) in enumerate(self.entries)}
+        return dict(zip(self.owners, range(len(self.owners))))
 
     def histogram(self, owner: str) -> Histogram:
         return self.entries[self._owner_index[owner]][1]
@@ -122,14 +194,24 @@ class HistogramSet:
         objects = {id(h): h for h in self.histograms}.values()
         return tuple(dict.fromkeys(chain.from_iterable(h.mass for h in objects)))
 
+    def cells(self) -> tuple[list[int], Iterable[str], Iterable[float]]:
+        """The set as the lines of its CSV form: each entry's support size,
+        then every entry's locations and masses, flat, each entry in its map's
+        key order.  A set built from rows answers from them, without maps."""
+        rows = self._key_rows
+        if rows is None:
+            hists = self.histograms
+            sizes = [len(h.mass) for h in hists]
+            return sizes, chain.from_iterable(h.mass for h in hists), chain.from_iterable(h.mass.values() for h in hists)
+        return np.diff(rows.indptr).tolist(), map(self.locations.__getitem__, rows.indices.tolist()), rows.data.tolist()
+
     @cached_property
     def row_classes(self) -> tuple[csr_array, np.ndarray]:
         """The set's packed form: one CSR row per distinct map over
         ``locations``, in order of first occurrence with each row's columns
         ascending, and each entry's row in it.  Each distinct histogram object
-        is packed once.  With ascending columns and positive, finite masses,
-        two packed rows' bytes are equal exactly when their maps are, and such
-        rows are kept once.  The arrays are shared by every caller and read-only."""
+        is packed once (``_pack`` then keeps rows of equal maps once).  The
+        arrays are shared by every caller and read-only."""
         hists = self.histograms
         objects = {id(h): h for h in hists}
         position = dict(zip(objects, range(len(objects))))
@@ -145,18 +227,9 @@ class HistogramSet:
         locs = chain.from_iterable(h.mass for h in objects.values())
         indices = np.fromiter(map(column.__getitem__, locs), dtype=index_dtype, count=nnz)
         data = np.fromiter(chain.from_iterable(h.mass.values() for h in objects.values()), dtype=np.float64, count=nnz)
-        packed = csr_array((data, indices, indptr), shape=(len(objects), len(column)))
-        packed.sort_indices()
-        ptr = packed.indptr.tolist()
-        keys = ((packed.indices[a:b].tobytes(), packed.data[a:b].tobytes()) for a, b in zip(ptr, ptr[1:]))
-        # Each object's first object of equal bytes; their row is its rank among those.
-        first: dict[tuple[bytes, bytes], int] = {}
-        of_first = np.fromiter((first.setdefault(key, i) for i, key in enumerate(keys)), dtype=np.intp, count=len(objects))
-        kept = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-        distinct = packed if kept.size == len(objects) else packed[kept]
-        of_row = np.searchsorted(kept, of_first)[of_object]
-        for array in (distinct.data, distinct.indices, distinct.indptr, of_row):
-            array.flags.writeable = False
+        distinct, of_first = _pack(csr_array((data, indices, indptr), shape=(len(objects), len(column))))
+        of_row = of_first[of_object]
+        of_row.flags.writeable = False
         return distinct, of_row
 
     @cached_property
@@ -170,6 +243,60 @@ class HistogramSet:
         for array in (rows.data, rows.indices, rows.indptr):
             array.flags.writeable = False
         return rows
+
+
+def _in_first_use_order(columns: np.ndarray, width: int) -> bool:
+    """Whether every column below ``width`` occurs, each first after every
+    smaller one: the largest column so far then starts at 0 and grows by one
+    at a time, up to ``width`` - 1."""
+    if not columns.size:
+        return width == 0
+    largest = np.maximum.accumulate(columns)
+    steps = np.count_nonzero(largest[1:] != largest[:-1])
+    return columns.min() >= 0 and largest[0] == 0 and largest[-1] == steps == width - 1
+
+
+def _pack(rows: csr_array) -> tuple[csr_array, np.ndarray]:
+    """``rows`` sorted in place, each row's columns ascending, then one row
+    per distinct row, in order of first occurrence, and each row's index among
+    them.  With ascending columns and positive, finite masses, two rows' bytes
+    are equal exactly when their maps are.  The arrays returned are read-only."""
+    rows.sort_indices()
+    ptr, indices, data = rows.indptr.tolist(), rows.indices, rows.data
+    # Each row's first row of equal bytes, looked up by the hash of its bytes
+    # and compared with the rows of that hash; no row's bytes are kept.
+    buckets: dict[int, list[int]] = {}
+    of_first = np.empty(rows.shape[0], dtype=np.intp)
+    for i, (a, b) in enumerate(zip(ptr, ptr[1:])):
+        cols, vals = indices[a:b], data[a:b]
+        bucket = buckets.setdefault(hash((cols.tobytes(), vals.tobytes())), [])
+        same = (j for j in bucket if np.array_equal(cols, indices[ptr[j] : ptr[j + 1]])
+                and np.array_equal(vals, data[ptr[j] : ptr[j + 1]]))
+        of_first[i] = first = next(same, i)
+        if first == i:
+            bucket.append(i)
+    kept = np.flatnonzero(of_first == np.arange(rows.shape[0]))
+    distinct = rows if kept.size == rows.shape[0] else rows[kept]
+    of_row = np.searchsorted(kept, of_first)
+    for array in (distinct.data, distinct.indices, distinct.indptr, of_row):
+        array.flags.writeable = False
+    return distinct, of_row
+
+
+def row_sums_off(rows: csr_array, atol: float) -> list[tuple[int, float]]:
+    """Each row whose masses' ``math.fsum`` is farther than ``atol`` from 1,
+    with that sum, in row order.  Rows must be non-empty.
+
+    The float64 sum of a row's n positive masses lies within about n 2^-53
+    times itself of the exact sum, so a row is summed exactly only when its
+    rounded sum misses 1 by more than ``atol`` less twice that margin.
+    """
+    ptr, data = rows.indptr, rows.data
+    sums = np.add.reduceat(data, ptr[:-1]) if data.size else np.zeros(rows.shape[0])
+    margin = np.diff(ptr) * np.finfo(np.float64).eps * sums
+    near = np.flatnonzero(~(np.abs(sums - 1.0) + margin <= atol)).tolist()
+    totals = (math.fsum(data[ptr[i] : ptr[i + 1]].tolist()) for i in near)
+    return [(i, total) for i, total in zip(near, totals) if not abs(total - 1.0) <= atol]
 
 
 @dataclass(frozen=True)

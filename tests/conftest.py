@@ -1,9 +1,18 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from histmatch.core import Histogram, HistogramSet
 from histmatch.matcher import BipartiteInstance
 from histmatch.metrics import MetricKind
+
+# Under CI (which sets ``CI``) property tests draw the same examples on every
+# run, and a failure prints the blob that reproduces it with ``@reproduce_failure``.
+settings.register_profile("ci", print_blob=True, derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def random_histogram(rng, alphabet_size, max_support=4, prefix="L"):

@@ -340,6 +340,35 @@ class TestIngestCommand:
         }
         assert not (tmp_path / "l.csv").exists()
 
+    @pytest.mark.parametrize("side", ["nan", "-5", "inf", "0"])
+    def test_geo_grid_checked_on_empty_log(self, tmp_path, capsys, side):
+        # A log with no points never reaches the per-point check.
+        events = tmp_path / "events.csv"
+        events.write_text("user,timestamp,location\n")
+        code, out, err = run_cli(
+            capsys,
+            "ingest",
+            "--events", str(events), "--boundary", "500",
+            "--out-left", str(tmp_path / "l.csv"), "--out-right", str(tmp_path / "r.csv"),
+            f"--geo-grid={side}",
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ValueError", "message": f"cell_side must be positive and finite, got {float(side)!r}",
+        }
+        assert not (tmp_path / "l.csv").exists()
+
+    def test_geo_grid_checked_before_reading(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "ingest",
+            "--events", str(tmp_path / "missing.csv"), "--boundary", "500",
+            "--out-left", str(tmp_path / "l.csv"), "--out-right", str(tmp_path / "r.csv"),
+            "--geo-grid=-5",
+        )
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": "cell_side must be positive and finite, got -5.0"}
+
     @pytest.mark.parametrize("origin", ["nan,0", "inf,0"])
     def test_geo_origin_not_finite(self, tmp_path, capsys, origin):
         events = tmp_path / "events.csv"

@@ -1,12 +1,15 @@
 import math
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
+from histmatch import core
 from histmatch.core import (
     EARTH_RADIUS_M,
     EventLog,
@@ -460,3 +463,91 @@ class TestRepeatedObjects:
         for a, b in zip(self.form_arrays(shared), self.form_arrays(copies)):
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
+
+
+def key_rows(hset):
+    """(owners, locations, rows) of a set, each row in its map's key order."""
+    column = dict(zip(hset.locations, range(len(hset.locations))))
+    indptr = np.cumsum([0] + [len(h.mass) for h in hset.histograms]).astype(np.int32)
+    indices = np.array([column[loc] for h in hset.histograms for loc in h.mass], dtype=np.int32)
+    data = np.array([p for h in hset.histograms for p in h.mass.values()], dtype=np.float64)
+    return hset.owners, hset.locations, csr_array((data, indices, indptr), shape=(len(hset), len(column)))
+
+
+def packed_arrays(hset):
+    distinct, of_row = hset.row_classes
+    return [hset.rows.data, hset.rows.indices, hset.rows.indptr, distinct.data, distinct.indices, distinct.indptr, of_row]
+
+
+class TestFromRows:
+    def test_same_set_and_form_as_from_maps(self, rng):
+        for hset in (random_histogram_set(rng, 25, 40, 9), HistogramSet(())):
+            built = HistogramSet.from_rows(*key_rows(hset))
+            assert "entries" not in vars(built)
+            assert len(built) == len(hset) and built.owners == hset.owners and built.locations == hset.locations
+            assert built == hset
+            assert [list(h.mass.items()) for h in built.histograms] == [list(h.mass.items()) for h in hset.histograms]
+            for a, b in zip(packed_arrays(built), packed_arrays(hset)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            if len(hset):
+                assert built.histogram(hset.owners[-1]).mass == hset.histograms[-1].mass
+
+    def test_equal_rows_share_one_row(self):
+        half = {"a": 0.5, "b": 0.5}
+        hset = HistogramSet(tuple((f"u{i}", Histogram.from_mass(m)) for i, m in enumerate([half, {"c": 1.0}, {"b": 0.5, "a": 0.5}])))
+        built = HistogramSet.from_rows(*key_rows(hset))
+        assert built.row_classes[1].tolist() == [0, 1, 0]
+        assert list(built.histograms[2].mass) == ["b", "a"]
+
+    def test_colliding_hashes_still_compare_rows(self, rng, monkeypatch):
+        hset = random_histogram_set(rng, 12, 15, 5)
+        repeated = HistogramSet(hset.entries + tuple((f"v{i}", h) for i, h in enumerate(hset.histograms[:4])))
+        want = HistogramSet.from_rows(*key_rows(repeated))
+        monkeypatch.setattr(core, "hash", lambda key: 0, raising=False)  # every row in one bucket
+        got = HistogramSet.from_rows(*key_rows(repeated))
+        for a, b in zip(packed_arrays(got), packed_arrays(want)):
+            assert a.tobytes() == b.tobytes()
+        assert got.row_classes[0].shape[0] < len(repeated)
+
+    def test_rows_become_read_only(self, rng):
+        owners, locations, rows = key_rows(random_histogram_set(rng, 5, 8))
+        built = HistogramSet.from_rows(owners, locations, rows)
+        for array in (rows.data, rows.indices, rows.indptr, built.rows.data):
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+        with pytest.raises(AttributeError):
+            built.owners = ()
+
+    @pytest.mark.parametrize(
+        "data, indices, indptr, owners, locations, message",
+        [
+            ([0.5, 0.5], [0, 0], [0, 2], ["u"], ["a"], "appears twice"),
+            ([0.5, 0.5, 1.0], [0, 1, 1], [0, 2, 3], ["u", "u"], ["a", "b"], "owner ids must be unique"),
+            ([1.0, 1.0], [0, 1], [0, 1, 2], ["u", "v"], ["a", "a"], "locations must be distinct"),
+            ([1.0, 1.0], [1, 0], [0, 1, 2], ["u", "v"], ["a", "b"], "first use"),
+            ([1.0], [0], [0, 1, 1], ["u", "v"], ["a"], "at least one entry"),
+            ([0.5, 0.6], [0, 1], [0, 2], ["u"], ["a", "b"], "sums to 1.1"),
+            ([1.5, -0.5], [0, 1], [0, 2], ["u"], ["a", "b"], "strictly positive"),
+            ([math.nan], [0], [0, 1], ["u"], ["a"], "strictly positive"),
+            ([math.inf], [0], [0, 1], ["u"], ["a"], "strictly positive"),
+            ([1.0], [0], [0, 1], ["u", "v"], ["a"], "rows of shape"),
+            ([1.0], [1], [0, 1], ["u"], ["a", "b"], "first use"),  # column 0 unused
+        ],
+    )
+    def test_invalid_rows(self, data, indices, indptr, owners, locations, message):
+        shape = (len(indptr) - 1, max(indices) + 1)
+        rows = csr_array((np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)), shape=shape)
+        with pytest.raises(ValueError, match=message):
+            HistogramSet.from_rows(owners, locations, rows)
+
+    @pytest.mark.parametrize("off", [0.0, 5e-10, 1e-9, -1e-9, 2e-9, -3e-9])
+    def test_mass_tolerance_as_histogram(self, off):
+        mass = {"a": 0.25, "b": 0.75 + off}
+        rows = csr_array((np.array(list(mass.values())), np.array([0, 1], dtype=np.int32), np.array([0, 2], dtype=np.int32)), shape=(1, 2))
+        try:
+            Histogram.from_mass(mass)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                HistogramSet.from_rows(["u"], ["a", "b"], rows)
+        else:
+            assert HistogramSet.from_rows(["u"], ["a", "b"], rows).histograms[0].mass == mass

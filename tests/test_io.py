@@ -1,14 +1,23 @@
+import csv
+import io
 import json
+import math
+import pickle
 import re
 import tracemalloc
+from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from histmatch import io as hio
 from histmatch.anonymize import information_loss, microaggregate, verify_k_anonymity
-from histmatch.core import GroundTruth, Histogram, HistogramSet
+from histmatch.core import MASS_ATOL, GroundTruth, Histogram, HistogramSet
 from histmatch.errors import FileFormatError
+from histmatch.io import HISTOGRAM_HEADER, HISTOGRAM_SUM_ATOL
 from histmatch.matcher import build_instance, match_min_weight
 from histmatch.metrics import MetricKind, weight_matrix
 from histmatch.synth import OverlapSpec, PopulationSpec, generate_pair, sample_population
@@ -257,3 +266,315 @@ class TestJsonFile:
         path = tmp_path / "payload.json"
         hio.write_json({"k": 2, "clusters": [["a", "b"]]}, path)
         assert path.read_text() == '{\n  "k": 2,\n  "clusters": [\n    [\n      "a",\n      "b"\n    ]\n  ]\n}\n'
+
+
+# The dict-building histogram reader that ``read_histogram_set`` replaced,
+# kept verbatim as the reference (its row helper renamed ``_oracle_read_rows``).
+def _oracle_read_rows(path: str | Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield each non-empty row after a checked header with its physical line
+    number, one at a time, so a reader holds only what it keeps of the file.
+    Every row has as many columns as the header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise FileFormatError(f"{path}: empty file, expected header {expected_header}") from None
+        if [h.strip() for h in header] != expected_header:
+            raise FileFormatError(f"{path}: header {header!r} does not match {expected_header}")
+        for row in filter(None, reader):
+            if len(row) != len(expected_header):
+                raise FileFormatError(f"{path}:{reader.line_num}: expected {len(expected_header)} columns, got {len(row)}")
+            yield reader.line_num, row
+
+
+def _oracle_read_histogram_set(path: str | Path) -> HistogramSet:
+    by_owner: dict[str, dict[str, float]] = {}
+    # One string object per distinct location, shared by every owner's keys:
+    # a set then keeps about half of what one string per row would cost.
+    symbols: dict[str, str] = {}
+    for lineno, row in _oracle_read_rows(path, HISTOGRAM_HEADER):
+        owner, location, prob_text = row
+        owner, location = owner.strip(), location.strip()
+        location = symbols.setdefault(location, location)
+        try:
+            prob = float(prob_text)
+        except ValueError:
+            raise FileFormatError(f"{path}:{lineno}: probability {prob_text.strip()!r} is not a number") from None
+        if not math.isfinite(prob) or prob <= 0.0:
+            raise FileFormatError(f"{path}:{lineno}: probability must be finite and positive")
+        mass = by_owner.setdefault(owner, {})
+        if location in mass:
+            raise FileFormatError(f"{path}:{lineno}: duplicate location {location!r} for owner {owner!r}")
+        mass[location] = prob
+
+    entries = []
+    for owner, mass in by_owner.items():
+        total = math.fsum(mass.values())
+        if abs(total - 1.0) > HISTOGRAM_SUM_ATOL:
+            raise FileFormatError(
+                f"{path}: probabilities for owner {owner!r} sum to {total!r}, not 1 +/- {HISTOGRAM_SUM_ATOL}"
+            )
+        if abs(total - 1.0) > MASS_ATOL:
+            mass = {loc: p / total for loc, p in mass.items()}
+        # ``mass`` is built here and shared with nothing, so it is not copied.
+        entries.append((owner, Histogram(mass=mass)))
+    return HistogramSet(entries=tuple(entries))
+
+
+def _outcome(read, path):
+    """A read's set, or the type and message of what it raised."""
+    try:
+        return read(path), None
+    except Exception as exc:  # noqa: BLE001 - every failure is compared
+        return None, (type(exc), str(exc))
+
+
+def assert_reads_like_oracle(path):
+    got, got_error = _outcome(hio.read_histogram_set, path)
+    want, want_error = _outcome(_oracle_read_histogram_set, path)
+    assert got_error == want_error
+    if want is None:
+        return
+    assert got.owners == want.owners
+    assert got.locations == want.locations
+    # every map, key order and masses bit for bit
+    assert [[(k, p.hex()) for k, p in h.mass.items()] for h in got.histograms] == [
+        [(k, p.hex()) for k, p in h.mass.items()] for h in want.histograms
+    ]
+    assert all(h.sample_count == 0 for h in got.histograms)
+    for a, b in zip(_form(got), _form(want)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # one string object per location, that of ``locations``
+    keys = {id(k) for h in got.histograms for k in h.mass}
+    assert keys == {id(loc) for loc in got.locations}
+
+
+def _form(hset):
+    distinct, of_row = hset.row_classes
+    return distinct.data, distinct.indices, distinct.indptr, of_row
+
+
+def _write(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+class TestReaderMatchesOracle:
+    def test_seeded_sets(self, tmp_path, rng):
+        for n, alphabet, support in ((1, 1, 1), (6, 10, 4), (40, 30, 12), (25, 400, 150)):
+            path = tmp_path / f"h{n}.csv"
+            hio.write_histogram_set(random_histogram_set(rng, n, alphabet, support), path)
+            assert_reads_like_oracle(path)
+
+    def test_split_owner_runs_merge_in_first_appearance_order(self, tmp_path, rng):
+        hset = random_histogram_set(rng, 8, 40, 10)
+        rows = [(o, loc, repr(p)) for o, h in hset.entries for loc, p in h.mass.items()]
+        order = rng.permutation(len(rows))
+        path = tmp_path / "h.csv"
+        hio.write_rows(path, HISTOGRAM_HEADER, [rows[i] for i in order])
+        assert_reads_like_oracle(path)
+        # later owners use earlier owners' locations first: the set's order differs from the file's
+        _write(path, "owner,location,probability\nu1,a,0.5\nu2,c,0.5\nu2,b,0.5\nu1,b,0.5\n")
+        assert_reads_like_oracle(path)
+        assert hio.read_histogram_set(path).locations == ("a", "b", "c")
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 128])
+    def test_owner_straddles_steps(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(hio, "_CHUNK_ROWS", chunk)
+        lines = [f"u{i},L{j},{1 / 5!r}" for i in range(4) for j in range(i, i + 5)]
+        path = _write(tmp_path / "h.csv", "owner,location,probability\n" + "\n".join(lines) + "\n")
+        assert_reads_like_oracle(path)
+        # a repeat, bad rows and blank lines across step boundaries
+        for bad in ("u1,L2,0.2", "u1,L9", "u1,L9,x", "u1,L9,-0.2", "\n\nu1,L1,0.2"):
+            text = "owner,location,probability\n" + "\n".join(lines[:8] + [bad] + lines[8:]) + "\n"
+            assert_reads_like_oracle(_write(tmp_path / "bad.csv", text))
+
+    def test_long_owner_across_default_steps(self, tmp_path):
+        masses = [1 / 300] * 300
+        lines = [f"w{k},x,1.0" for k in range(100)] + [f"big,L{j},{p!r}" for j, p in enumerate(masses)]
+        path = _write(tmp_path / "h.csv", "owner,location,probability\n" + "\n".join(lines) + "\n")
+        assert_reads_like_oracle(path)
+        # the repeat comes 200 rows after its first row, in a later step
+        repeat = _write(tmp_path / "r.csv", path.read_text() + "big,L3,0.1\n")
+        assert_reads_like_oracle(repeat)
+        # a repeat in an earlier step wins over a later bad row
+        both = _write(tmp_path / "b.csv", "owner,location,probability\nw,a,0.5\nw,a,0.5\n" + "\n".join(lines) + "\nz,q,nan\n")
+        assert_reads_like_oracle(both)
+        with pytest.raises(FileFormatError, match=re.escape(f"{both}:3: duplicate location 'a' for owner 'w'")):
+            hio.read_histogram_set(both)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_line_ends_and_blank_lines(self, tmp_path, end):
+        body = ["u1,a,0.25", "", "u1,b,0.75", "", "", "u2,a,1.0"]
+        path = _write(tmp_path / "h.csv", end.join(["owner,location,probability", *body]) + end)
+        assert_reads_like_oracle(path)
+        bad = _write(tmp_path / "bad.csv", end.join(["owner,location,probability", *body, "", "u3,a,zero"]) + end)
+        assert_reads_like_oracle(bad)
+
+    def test_quoted_fields_and_whitespace(self, tmp_path):
+        text = (
+            "owner,location,probability\n"
+            '" u1 ","lat,lon",0.5\n'
+            '  u1  ,  "b"  ,  0.5  \n'
+            'u2,"say ""hi""", 1.0\n'
+            'u3,"two\nlines",1.0\n'
+            'u3b,"cr\r\nlf",1.0\n'
+        )
+        path = _write(tmp_path / "h.csv", text)
+        assert_reads_like_oracle(path)
+        # a row after a record that spans lines names its own physical line
+        bad = _write(tmp_path / "bad.csv", text + "u4,a,nope\n")
+        assert_reads_like_oracle(bad)
+        with pytest.raises(FileFormatError, match=re.escape(f"{bad}:9: probability 'nope'")):
+            hio.read_histogram_set(bad)
+
+    @pytest.mark.parametrize("delta", [1e-9, 3e-9, 1e-8, 1e-7, 9.9e-7, 1e-6, 1.01e-6, -1e-9, -5e-7, -2e-6])
+    def test_sums_off_by_a_little(self, tmp_path, delta):
+        path = _write(tmp_path / "h.csv", f"owner,location,probability\nu1,a,0.25\nu1,b,{0.75 + delta!r}\nu2,a,1.0\n")
+        assert_reads_like_oracle(path)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["u1,a,0.5", "u1,a,0.5"],
+            ["u1,a,0.6", "u1,a,0.6"],  # a repeat fails before its owner's sum
+            ["u1,a,0.5", "u2,b,1.0", "u1,a,0.5"],  # split runs
+            ["u1,a,0.5", "u1,b,0.5", "u2,a,0.2"],  # a sum, after every row
+            ["u1,a,0.5", "u1,b", "u1,b,x"],
+            ["u1,a,x", "u1,b"],
+            ["u1,a,0.5", "u1,a,0.5", "u1,b,x"],
+            ["u1,a,-1", "u1,a,0.5"],
+            ["u1,a,inf"],
+            ["u1,a,0.0"],
+            ["u1,a,-0.0"],
+            ["u1,a,1e-400"],
+            ["u1,a,1,2,3"],
+            [""],
+            ["u1"],
+        ],
+    )
+    def test_malformed_first_failure_wins(self, tmp_path, monkeypatch, rows):
+        path = _write(tmp_path / "h.csv", "owner,location,probability\n" + "\n".join(rows) + "\n")
+        for chunk in (1, 2, 128):
+            monkeypatch.setattr(hio, "_CHUNK_ROWS", chunk)
+            assert_reads_like_oracle(path)
+
+    def test_csv_error_after_a_bad_row(self, tmp_path, monkeypatch):
+        # csv.reader's own error comes after the bad row in the same step
+        huge = "x" * (csv.field_size_limit() + 1)
+        path = _write(tmp_path / "h.csv", f"owner,location,probability\nu1,a,oops\nu1,{huge},0.5\n")
+        assert_reads_like_oracle(path)
+        plain = _write(tmp_path / "p.csv", f"owner,location,probability\nu1,a,1.0\nu1,{huge},0.5\n")
+        assert_reads_like_oracle(plain)
+        # bytes that are not UTF-8, decoded only after the rows before them
+        padding = "".join(f"w{i},a,1.0\n" for i in range(3000))
+        for bad_row in ("u1,a,oops\n", ""):
+            path = tmp_path / "bytes.csv"
+            path.write_bytes(f"owner,location,probability\n{bad_row}{padding}".encode() + b"u2,\xff,1.0\n")
+            for chunk in (7, 128):
+                monkeypatch.setattr(hio, "_CHUNK_ROWS", chunk)
+                assert_reads_like_oracle(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_property(self, tmp_path_factory, data):
+        draw = data.draw
+        owners = draw(st.lists(st.sampled_from(["u1", "u2", " u3", "u,4", 'q"5', "u6"]), min_size=1, max_size=4, unique=True))
+        pool = ["a", "b", "c,d", ' e', 'f"g', "h\ni", "j\r\nk", "L1", "L2", "L3"]
+        lines = []
+        for owner in owners:
+            locs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True))
+            weights = draw(st.lists(st.integers(1, 9), min_size=len(locs), max_size=len(locs)))
+            digits = draw(st.sampled_from(["r", ".7g", ".5g"]))
+            for loc, w in zip(locs, weights):
+                p = w / sum(weights)
+                lines.append([owner, loc, repr(p) if digits == "r" else format(p, digits)])
+        if draw(st.booleans()):
+            lines = draw(st.permutations(lines))
+        fault = draw(st.sampled_from([None, "text", "nan", "zero", "repeat", "short", "long", "sum"]))
+        if fault is not None:
+            at = draw(st.integers(0, len(lines) - 1))
+            row = list(lines[at])
+            if fault == "repeat":
+                lines.insert(draw(st.integers(at + 1, len(lines))), row)
+            elif fault == "short":
+                lines[at] = row[:2]
+            elif fault == "long":
+                lines[at] = row + ["1"]
+            else:
+                row[2] = {"text": "p?", "nan": "nan", "zero": "0", "sum": "0.9"}[fault]
+                lines[at] = row
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"])))
+        writer.writerow(HISTOGRAM_HEADER)
+        for row in lines:
+            if draw(st.integers(0, 5)) == 0:
+                buffer.write(writer.dialect.lineterminator)  # a blank line
+            padded = [f" {f} " if draw(st.integers(0, 4)) == 0 and "\n" not in f and '"' not in f and "," not in f else f for f in row]
+            writer.writerow(padded)
+        path = tmp_path_factory.mktemp("prop") / "h.csv"
+        _write(path, buffer.getvalue())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hio, "_CHUNK_ROWS", draw(st.sampled_from([1, 2, 3, 128])))
+            assert_reads_like_oracle(path)
+
+
+class TestSetFromRows:
+    def test_read_set_equals_dict_built_set(self, tmp_path, rng):
+        hset = random_histogram_set(rng, 12, 30, 8)
+        path = tmp_path / "h.csv"
+        hio.write_histogram_set(hset, path)
+        loaded = hio.read_histogram_set(path)
+        assert len(loaded) == 12 and loaded.owners == hset.owners
+        assert "entries" not in vars(loaded)
+        assert loaded == hset and hset == loaded
+        assert loaded != HistogramSet(hset.entries[1:])
+
+    def test_pickles_without_maps_and_stays_read_only(self, tmp_path, rng):
+        hset = random_histogram_set(rng, 10, 20, 6)
+        path = tmp_path / "h.csv"
+        hio.write_histogram_set(hset, path)
+        loaded = hio.read_histogram_set(path)
+        blob = pickle.dumps(loaded)
+        assert "entries" not in vars(loaded)
+        again = pickle.loads(blob)
+        assert "entries" not in vars(again)
+        for array in (again.rows.data, again.rows.indices, again.rows.indptr, *_form(again)):
+            assert not array.flags.writeable
+        for a, b in zip(_form(again), _form(loaded)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert again == hset
+
+
+class TestWriterBytes:
+    @staticmethod
+    def reference_bytes(hset):
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer)
+        writer.writerow(HISTOGRAM_HEADER)
+        writer.writerows([owner, loc, repr(p)] for owner, h in hset.entries for loc, p in h.mass.items())
+        return buffer.getvalue().encode("utf-8")
+
+    def test_quoting_matches_csv_writer(self, tmp_path):
+        names = ["plain", "com,ma", 'quo"te', "cr\rlf", "line\nfeed", "crlf\r\nx", " lead", "trail ", "", "é"]
+        hset = HistogramSet(
+            tuple((owner, H({loc: 0.5, "x": 0.5} if loc != "x" else {loc: 1.0})) for owner, loc in zip(names, names[::-1]))
+        )
+        path = tmp_path / "h.csv"
+        hio.write_histogram_set(hset, path)
+        assert path.read_bytes() == self.reference_bytes(hset)
+        # a set read from rows (its fields stripped) writes from its rows
+        loaded = hio.read_histogram_set(path)
+        again = tmp_path / "again.csv"
+        hio.write_histogram_set(loaded, again)
+        assert "entries" not in vars(loaded)
+        assert again.read_bytes() == self.reference_bytes(loaded)
+
+    def test_seeded_sets(self, tmp_path, rng):
+        population = sample_population(PopulationSpec(30, 80, 0.5, 3))
+        left, _, _ = generate_pair(population, 60, 60, OverlapSpec.full(30), 3)
+        for hset in (left, random_histogram_set(rng, 20, 50, 10)):
+            path = tmp_path / "h.csv"
+            hio.write_histogram_set(hset, path)
+            assert path.read_bytes() == self.reference_bytes(hset)
