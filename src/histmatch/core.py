@@ -194,16 +194,19 @@ class HistogramSet:
         objects = {id(h): h for h in self.histograms}.values()
         return tuple(dict.fromkeys(chain.from_iterable(h.mass for h in objects)))
 
-    def cells(self) -> tuple[list[int], Iterable[str], Iterable[float]]:
+    def cells(self) -> tuple[list[int], Iterable[int], Iterable[float] | np.ndarray]:
         """The set as the lines of its CSV form: each entry's support size,
-        then every entry's locations and masses, flat, each entry in its map's
-        key order.  A set built from rows answers from them, without maps."""
+        then every entry's location codes (indices into ``locations``) and
+        masses, flat, each entry in its map's key order.  A set built from
+        rows answers from them, without maps, its masses as a float64 array."""
         rows = self._key_rows
         if rows is None:
             hists = self.histograms
             sizes = [len(h.mass) for h in hists]
-            return sizes, chain.from_iterable(h.mass for h in hists), chain.from_iterable(h.mass.values() for h in hists)
-        return np.diff(rows.indptr).tolist(), map(self.locations.__getitem__, rows.indices.tolist()), rows.data.tolist()
+            column = dict(zip(self.locations, range(len(self.locations))))
+            codes = map(column.__getitem__, chain.from_iterable(h.mass for h in hists))
+            return sizes, codes, chain.from_iterable(h.mass.values() for h in hists)
+        return np.diff(rows.indptr).tolist(), rows.indices.tolist(), rows.data
 
     @cached_property
     def row_classes(self) -> tuple[csr_array, np.ndarray]:
@@ -318,22 +321,29 @@ class GroundTruth:
         return {v: k for k, v in self.mapping.items()}
 
 
+def union_columns(first: HistogramSet, second: HistogramSet) -> tuple[np.ndarray, int]:
+    """The column of each of ``second``'s locations in the union of both
+    sets' locations in first-use order (``first``'s locations, then the ones
+    only ``second`` uses), and the union's width."""
+    column = dict(zip(first.locations, range(len(first.locations))))
+    for loc in second.locations:
+        column.setdefault(loc, len(column))
+    remap = np.fromiter(map(column.__getitem__, second.locations), dtype=np.intp, count=len(second.locations))
+    return remap, len(column)
+
+
 def union_rows(first: HistogramSet, second: HistogramSet) -> tuple[csr_array, csr_array]:
     """Both sets' distinct rows (``HistogramSet.row_classes``) over the union
-    of their locations in first-use order: ``first``'s locations, then the
-    ones only ``second`` uses.
+    of their locations (``union_columns``).
 
     ``first``'s rows are its own arrays under the wider shape.  ``second``'s
     share its ``data`` and ``indptr`` and remap each column index, so each row
     keeps its set's order of columns, which need not ascend in the union.
     """
-    column = dict(zip(first.locations, range(len(first.locations))))
-    for loc in second.locations:
-        column.setdefault(loc, len(column))
+    remap, width = union_columns(first, second)
     a, b = first.row_classes[0], second.row_classes[0]
-    remap = np.fromiter(map(column.__getitem__, second.locations), dtype=b.indices.dtype, count=b.shape[1])
-    widened = csr_array((a.data, a.indices, a.indptr), shape=(a.shape[0], len(column)))
-    return widened, csr_array((b.data, remap[b.indices], b.indptr), shape=(b.shape[0], len(column)))
+    widened = csr_array((a.data, a.indices, a.indptr), shape=(a.shape[0], width))
+    return widened, csr_array((b.data, remap.astype(b.indices.dtype)[b.indices], b.indptr), shape=(b.shape[0], width))
 
 
 def build_histogram(events: Iterable[str]) -> Histogram:

@@ -274,14 +274,25 @@ def _histogram_set(path, owners, locations, of_owner, columns, masses) -> Histog
 
 def write_histogram_set(hset: HistogramSet, path: str | Path) -> None:
     """The bytes ``csv.writer`` writes for the rows ``owner, location, repr(p)``,
-    with each distinct owner and location quoted once, by ``csv.writer``."""
-    sizes, locs, probs = hset.cells()
-    location_field = dict(zip(hset.locations, _csv_fields(hset.locations)))
+    with each distinct owner and location quoted once, by ``csv.writer``, and,
+    for a set built from rows, each distinct mass formatted once."""
+    sizes, codes, masses = hset.cells()
+    location_fields = _csv_fields(hset.locations)
     owner_fields = chain.from_iterable(map(repeat, _csv_fields(hset.owners), sizes))
-    fields = zip(owner_fields, repeat(","), map(location_field.__getitem__, locs), repeat(","), map(repr, probs), repeat("\r\n"))
+    # A float64 array holds floats only, so equal masses have equal reprs.
+    mass_fields = map(_Reprs().__getitem__, masses.tolist()) if isinstance(masses, np.ndarray) else map(repr, masses)
+    fields = zip(owner_fields, repeat(","), map(location_fields.__getitem__, codes), repeat(","), mass_fields, repeat("\r\n"))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(HISTOGRAM_HEADER)
         fh.writelines(map("".join, fields))
+
+
+class _Reprs(dict):
+    """Each key's ``repr``, formatted at its first lookup."""
+
+    def __missing__(self, key):
+        self[key] = text = repr(key)
+        return text
 
 
 def _csv_fields(strings: Iterable[str]) -> list[str]:

@@ -3,7 +3,11 @@
 Solvers:
 
 * ``match_min_weight`` (A1): exact minimum-weight maximal matching, i.e. an
-  assignment covering every left node, via the Hungarian method.
+  assignment covering every left node, via the Hungarian method.  Under the
+  divergence weight, on instances with at least ``CERTIFIED_MIN_COOCCURRENCES``
+  shared locations between distinct rows, it solves a matrix of lower bounds
+  and computes exact weights only where the assignment lands, until it lands
+  on exact weights alone, which certifies it optimal.
 * ``match_cardinality`` (A2): exact minimum-weight matching with a fixed
   number of pairs (minimum-cost imperfect matching), solved as one padded
   assignment problem.
@@ -20,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,11 +35,25 @@ from .errors import (
     SwapSidesError,
     TooLargeForOracleError,
 )
-from .metrics import MetricKind, shannon_entropy, weight_matrix
+from .metrics import MetricKind, PairDivergence, cooccurrences, shannon_entropy, weight_matrix
 
 ORACLE_LIMIT = 8
 
 TOTAL_WEIGHT_ATOL = 1e-9
+
+# A1 under the divergence weight takes the certified path on instances whose
+# distinct rows share at least this many locations (``metrics.cooccurrences``),
+# the dense pass's own work; below it the dense path is faster.
+CERTIFIED_MIN_COOCCURRENCES = 16_000_000
+
+# Assignments the certified path solves before it falls back to the dense matrix.
+CERTIFIED_ROUNDS = 8
+
+# Bellman-Ford passes behind the rough duals that steer the certified path.
+POTENTIAL_PASSES = 3
+
+# Most entries of the matrix one block of ``_near_tight`` spans.
+_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -61,28 +79,46 @@ class MatchResult:
         return {i: j for i, j, _ in self.pairs}
 
 
-@dataclass(frozen=True)
 class BipartiteInstance:
-    """Two histogram sets plus their dense, distance-oriented weight matrix."""
+    """Two histogram sets and their dense, distance-oriented weight matrix:
+    the one given, or ``weight_matrix`` of the sets, computed on first use."""
 
-    left: HistogramSet
-    right: HistogramSet
-    metric: MetricKind
-    weights: np.ndarray
+    def __init__(self, left: HistogramSet, right: HistogramSet, metric: MetricKind, weights: np.ndarray | None = None):
+        self.__dict__.update(left=left, right=right, metric=metric, explicit=weights is not None)
+        if weights is not None:
+            self.__dict__["weights"] = self._checked(weights)
 
-    def __post_init__(self):
-        if self.weights.shape != (len(self.left), len(self.right)):
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a BipartiteInstance is immutable")
+
+    def _checked(self, weights: np.ndarray) -> np.ndarray:
+        if weights.shape != (len(self.left), len(self.right)):
             raise ValueError("weight matrix shape does not match the histogram sets")
-        if not np.isfinite(self.weights).all():
+        if not np.isfinite(weights).all():
             raise ValueError("weights must be finite")
+        return weights
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return self._checked(weight_matrix(self.left, self.right, self.metric))
+
+    @cached_property
+    def certified(self) -> bool:
+        """Whether A1 takes the certified path: under the divergence weight,
+        above the size rule, and without a matrix given."""
+        return (
+            not self.explicit
+            and self.metric is MetricKind.PROPOSED
+            and cooccurrences(self.left, self.right) >= CERTIFIED_MIN_COOCCURRENCES
+        )
 
     @property
     def n_left(self) -> int:
-        return self.weights.shape[0]
+        return len(self.left)
 
     @property
     def n_right(self) -> int:
-        return self.weights.shape[1]
+        return len(self.right)
 
 
 def build_instance(
@@ -90,11 +126,14 @@ def build_instance(
     right: HistogramSet,
     metric: MetricKind,
 ) -> BipartiteInstance:
-    """Compute all pairwise weights between two histogram sets."""
+    """The instance of two histogram sets, with all pairwise weights computed,
+    unless A1 would take the certified path, which computes few of them."""
     if len(left) == 0 or len(right) == 0:
         raise ValueError("histogram sets must be non-empty")
-    w = weight_matrix(left, right, metric)
-    return BipartiteInstance(left=left, right=right, metric=metric, weights=w)
+    instance = BipartiteInstance(left, right, metric)
+    if not instance.certified:
+        instance.weights  # computed here, so that callers time it as the build
+    return instance
 
 
 def _result(weights: np.ndarray, pairs: list[tuple[int, int]], algorithm: str) -> MatchResult:
@@ -106,16 +145,103 @@ def _result(weights: np.ndarray, pairs: list[tuple[int, int]], algorithm: str) -
 
 
 def match_min_weight(instance: BipartiteInstance) -> MatchResult:
-    """Exact minimum-weight maximal matching: every left node gets assigned."""
-    n, m = instance.weights.shape
+    """Exact minimum-weight maximal matching: every left node gets assigned.
+
+    On a ``certified`` instance, a matrix of lower bounds
+    (``PairDivergence``) takes exact weights pair by pair:
+    - first, in each row, every pair whose bound lies below the exact weight
+      at the row's smallest bound, and that pair;
+    - then, after each assignment that lands on bounds: the pairs it landed
+      on; in each row that landed on a bound, every pair whose bound is at
+      most the one it landed on; and every pair whose reduced cost under
+      rough duals of the assignment is below the largest rise from a bound
+      it landed on to its exact weight (``_near_tight``).
+    It stops when the assignment lands on exact weights only.  That
+    assignment is optimal for the exact matrix W: the mixed matrix is <= W
+    entry by entry, so its optimum is at most W's, and this assignment costs
+    the same under both.  After ``CERTIFIED_ROUNDS`` assignments it solves W.
+    The result depends on the inputs alone: a matrix W already computed only
+    supplies the same exact values.  Where assignments tie exactly, it may
+    return another optimum than the dense path, with the same total.
+    """
+    n, m = instance.n_left, instance.n_right
     if n > m:
         raise SwapSidesError(
             f"left side has {n} nodes but right side only {m}; "
             "pass the smaller set as the left (unlabeled) side"
         )
+    if instance.certified:
+        result = _certified_min_weight(instance)
+        if result is not None:
+            return result
     from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(instance.weights)
     return _result(instance.weights, list(zip(rows, cols)), "A1")
+
+
+def _certified_min_weight(instance: BipartiteInstance) -> MatchResult | None:
+    """A1 by the certified loop of ``match_min_weight``; None after
+    ``CERTIFIED_ROUNDS`` assignments without a certificate."""
+    divergence = PairDivergence(instance.left, instance.right)
+    dense = instance.__dict__.get("weights")
+
+    def exact(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return divergence.weights(i, j) if dense is None else dense[i, j]
+
+    w = divergence.lower_bounds()
+    n, m = w.shape
+    rows = np.arange(n)
+    first = w.argmin(axis=1)
+    at_first = exact(rows, first)
+    w[rows, first] = at_first
+    i, j = np.nonzero(w < at_first[:, None])
+    w[i, j] = exact(i, j)
+    known = np.union1d(rows * m + first, i * m + j)
+    # Loaded only now, so that its memory never adds to the bound pass's.
+    from scipy.optimize import linear_sum_assignment
+    for _ in range(CERTIFIED_ROUNDS):
+        r, c = linear_sum_assignment(w)
+        landed = ~np.isin(r * m + c, known, assume_unique=True)
+        if not landed.any():
+            return _result(w, list(zip(r, c)), "A1")
+        i, j = r[landed], c[landed]
+        at_landed = exact(i, j)
+        # Row by row, so that no temporary spans more than one row of ``w``.
+        below = [k * m + np.flatnonzero(w[k] <= w[k, l]) for k, l in zip(i, j)]
+        new = np.union1d(np.concatenate(below), _near_tight(w, c, float((at_landed - w[i, j]).max())))
+        w[i, j] = at_landed
+        known = np.union1d(known, i * m + j)
+        new = np.setdiff1d(new, known, assume_unique=True)
+        i, j = np.divmod(new, m)
+        w[i, j] = exact(i, j)
+        known = np.union1d(known, new)
+    return None
+
+
+def _near_tight(w: np.ndarray, cols: np.ndarray, slack: float) -> np.ndarray:
+    """Flat indices of the entries of ``w`` whose reduced cost is below
+    ``slack`` under rough LP duals of the assignment of row i to ``cols[i]``.
+
+    The column duals v come from ``POTENTIAL_PASSES`` Bellman-Ford passes
+    over the cost of moving a row off its column, v_j = min(v_j,
+    min_i v[cols[i]] + w[i, j] - w[i, cols[i]]) from v = 0, and the row
+    duals u from the assigned entries.  They only steer which pairs get
+    exact weights; the certificate never reads them.  Row blocks keep every
+    temporary within ``_BLOCK_CELLS`` entries."""
+    n, m = w.shape
+    assigned = w[np.arange(n), cols]
+    v = np.zeros(m)
+    step = max(1, _BLOCK_CELLS // m)
+    for _ in range(POTENTIAL_PASSES):
+        move = v[cols] - assigned
+        for start in range(0, n, step):
+            np.minimum(v, (w[start : start + step] + move[start : start + step, None]).min(axis=0), out=v)
+    u = assigned - v[cols]
+    found = []
+    for start in range(0, n, step):
+        i, j = np.nonzero(w[start : start + step] - u[start : start + step, None] - v < slack)
+        found.append((start + i) * m + j)
+    return np.concatenate(found)
 
 
 def match_cardinality(instance: BipartiteInstance, r: int) -> MatchResult:

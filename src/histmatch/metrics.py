@@ -16,6 +16,11 @@ That walk runs over blocks of left rows and scatters each column's terms
 through flat indices.  Each weight is computed once per pair of distinct rows
 (:attr:`~histmatch.core.HistogramSet.row_classes`), so a k-anonymized release
 costs one row per cluster.
+
+:class:`PairDivergence` serves a solver that needs few exact divergence
+weights: a proven lower bound of every pair's weight from one product of the
+rows' square roots, and the exact weight of chosen pairs, bit for bit as
+``weight_matrix`` computes it.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ from typing import Mapping
 import numpy as np
 from scipy.sparse import csr_array
 
-from .core import Histogram, HistogramSet, union_rows
+from .core import Histogram, HistogramSet, union_columns, union_rows
 
 LN2 = math.log(2.0)
 
@@ -35,6 +40,17 @@ MAX_DIVERGENCE_WEIGHT = 2.0 * LN2
 
 # Most bytes of the weight matrix one block of the divergence and l1 walk spans.
 _BLOCK_BYTES = 4 << 20
+
+# The divergence lower bound is shaved by SHAVE_PER_TERM * (k + SHAVE_TERMS)
+# for pairs that share at most k locations (``PairDivergence`` derives it).
+SHAVE_PER_TERM = 2.0**-23
+SHAVE_TERMS = 4
+
+# Cells of the lookup table ``PairDivergence.weights`` fills per block of pairs.
+_TABLE_CELLS = 1 << 15
+
+# Cells of the dense square roots ``PairDivergence.lower_bounds`` multiplies per block of right rows.
+_ROOTS_CELLS = 1 << 18
 
 
 class MetricKind(Enum):
@@ -234,3 +250,149 @@ def _subtract_shared_columns(w: np.ndarray, lrows: csr_array, rrows: csr_array, 
             # 2**31 however large the block is.
             offsets = lcols.indices[la:lb, None].astype(np.intp) * width
             np.subtract.at(flat, (offsets + rcols.indices[ra:rb]).ravel(), terms.ravel())
+
+
+def cooccurrences(left: HistogramSet, right: HistogramSet) -> int:
+    """Pairs of distinct rows, one from each set, that share a location,
+    counted once per shared location: sum over locations l of |L_l| |R_l|.
+    This is the work of ``weight_matrix``'s walk over shared columns."""
+    remap, width = union_columns(left, right)
+    (lrows, _), (rrows, _) = left.row_classes, right.row_classes
+    rcount = np.zeros(width, dtype=np.int64)
+    rcount[remap] = np.bincount(rrows.indices, minlength=rrows.shape[1])
+    return int(np.bincount(lrows.indices, minlength=width) @ rcount)
+
+
+class PairDivergence:
+    """The divergence weight between the entries of two sets, pair by pair:
+    a lower bound for every pair (``lower_bounds``) and exact weights for
+    chosen pairs (``weights``).
+
+    **The bound.**  With |p| and |q| the row sums and BC = sum_l sqrt(p_l q_l),
+    w(p, q) >= ln 2 (|p| + |q| - 2 BC), which is 2 ln 2 H^2 for unit masses
+    (H^2 = 1 - BC, the squared Hellinger distance).  Both sides are sums over
+    locations, so it suffices at one location.  Both terms are symmetric and
+    scale with (p, q), so take p = 1 and q = t^2, t in [0, 1].  The weight's
+    term minus the bound's is then
+
+        G(t) = 2 t ln 2 + 2 t^2 ln t - (1 + t^2) ln(1 + t^2),
+
+    with G(0) = G(1) = 0 and G'(t) = 2 (ln 2 - h(t)), h(t) = t ln(1 + t^-2),
+    h(0+) = 0, h(1) = ln 2.  With y = t^-2, h'(t) has the sign of
+    k(y) = ln(1 + y) - 2y / (1 + y), where k(1) = ln 2 - 1 < 0,
+    k'(y) = (y - 1) / (1 + y)^2 >= 0 and k -> inf.  So as t grows from 0 to
+    1, h rises and then falls back to ln 2, staying above ln 2 once it
+    reaches it.  Hence G first rises and then falls, and G >= 0 on [0, 1].  A
+    location used by one side alone (t = 0) gives equality, so the bound is
+    exact on disjoint supports.
+
+    **The shave.**  Let u = 2^-53 and v = 2^-24, the float64 and float32
+    unit roundoffs, and let a pair share k locations.  Row sums are within
+    ``MASS_ATOL`` of 1, so BC <= 1.01, every partial sum below is under 2.01
+    and every running weight under 1.39.
+    - BC is summed in float32, in any order, from k products of square
+      roots rounded to float32: within 1.02v (k + 2.01) of itself for k
+      below 2^17, plus k 2^-148 where tiny masses underflow.  Doubled and scaled by ln 2: under 1.42v (k + 2.01)
+      + k 2^-147.
+    - The float64 steps of the bound (two sums, the product with ln 2, the
+      shave's own subtraction) add under 9u.
+    - ``weight_matrix``'s value departs from the exact weight by under
+      u (1.39k + 44 ln k + 65): 5.6u for its start (|p| + |q|) ln 2, 1.39u
+      per shared column for taking that column's term off, and
+      11u (s|ln s| + p|ln p| + q|ln q|) + u (s + t) per term t, with
+      s = p + q, if ``np.log`` errs by at most 4 ulp (numpy's float64 log
+      measures under 1 ulp); over the shared columns sum s <= 2.01,
+      sum t <= 1.39, and the entropy-like sums stay under 4 ln k + 5.1.
+    The float64 errors together stay under 2^-29 v (5k + 175), so all of them
+    stay under 1.43v k + 3v < 2v (k + 4) = 2^-23 (k + 4), the shave
+    (``SHAVE_PER_TERM``, ``SHAVE_TERMS``).  k is taken as the smaller of the
+    left row's support and the largest right support.  The shaved bound is
+    clipped to [0, 2 ln 2], as weights are, which keeps it below them.
+    """
+
+    def __init__(self, left: HistogramSet, right: HistogramSet):
+        # Both sets' distinct rows over their own columns, and each right
+        # column's in the union, where left columns keep their numbers.
+        (lrows, lof), (rrows, rof) = left.row_classes, right.row_classes
+        self.rows, self.of_row = (lrows, rrows), (lof, rof)
+        self.remap, self.width = union_columns(left, right)
+        self.sums = _row_fsums(lrows, lrows.data), _row_fsums(rrows, rrows.data)
+
+    def lower_bounds(self) -> np.ndarray:
+        """The shaved bound of every pair of entries, as a new N x N' array."""
+        lrows, rrows = self.rows
+        lsum, rsum = self.sums
+        # BC in float32, a block of right rows at a time: one sparse-times-dense
+        # product with the block's square roots as dense columns.
+        lroots = csr_array(
+            (np.sqrt(lrows.data).astype(np.float32), lrows.indices, lrows.indptr), shape=(lrows.shape[0], self.width)
+        )
+        b = np.empty((lrows.shape[0], rrows.shape[0]))
+        step = max(1, _ROOTS_CELLS // self.width)
+        for start in range(0, rrows.shape[0], step):
+            block = rrows[start : start + step]
+            roots = np.zeros((self.width, block.shape[0]), dtype=np.float32)
+            owner = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
+            roots[self.remap[block.indices], owner] = np.sqrt(block.data)
+            b[:, start : start + step] = lroots @ roots
+        b *= -2.0
+        b += lsum[:, None]
+        b += rsum
+        b *= LN2
+        shared = np.minimum(np.diff(lrows.indptr), np.diff(rrows.indptr).max())
+        b -= (SHAVE_PER_TERM * (shared + SHAVE_TERMS))[:, None]
+        np.clip(b, 0.0, MAX_DIVERGENCE_WEIGHT, out=b)
+        if b.shape != (len(self.of_row[0]), len(self.of_row[1])):
+            b = b[np.ix_(*self.of_row)]
+        return b
+
+    def weights(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The weights of pairs (i[k], j[k]) of entries, each equal to
+        ``weight_matrix``'s entry bit for bit: the same start from the same
+        row sums, the same terms taken off in ascending union column, the
+        same clip."""
+        lrows, rrows = self.rows
+        a, b = self.of_row[0][i], self.of_row[1][j]
+        w = self.sums[0][a] + self.sums[1][b]
+        w *= LN2
+        # A block of pairs writes its right entries' positions into a table
+        # of one row per pair and union column, and reads it at its left
+        # entries, which ascend in column within each pair, so the shared
+        # columns come out ascending too.
+        step = max(1, _TABLE_CELLS // self.width)
+        table = np.zeros((min(step, len(a)), self.width), dtype=rrows.indptr.dtype)
+        for start in range(0, len(a), step):
+            lpair, lpos = _expand(lrows.indptr, a[start : start + step])
+            rpair, rpos = _expand(rrows.indptr, b[start : start + step])
+            rcols = self.remap[rrows.indices[rpos]]
+            table[rpair, rcols] = rpos + 1
+            found = table[lpair, lrows.indices[lpos]]
+            table[rpair, rcols] = 0
+            shared = np.flatnonzero(found)
+            p, q = lrows.data[lpos[shared]], rrows.data[found[shared] - 1]
+            terms = p + q
+            terms *= np.log(terms)
+            terms -= _xlogx(p)
+            terms -= _xlogx(q)
+            np.subtract.at(w, start + lpair[shared], terms)
+        return np.clip(w, 0.0, MAX_DIVERGENCE_WEIGHT, out=w)
+
+
+def _expand(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the entries of ``rows`` of a CSR array, in order: the index in
+    ``rows`` of the row each belongs to, and each one's position."""
+    begin = indptr[rows].astype(np.intp)
+    counts = indptr[rows + 1] - begin
+    owner = np.repeat(np.arange(len(rows)), counts)
+    return owner, np.arange(len(owner)) + np.repeat(begin - (np.cumsum(counts) - counts), counts)
+
+
+def divergence_lower_bounds(left: HistogramSet, right: HistogramSet) -> np.ndarray:
+    """A lower bound of every pair's divergence weight (``PairDivergence``)."""
+    return PairDivergence(left, right).lower_bounds()
+
+
+def pair_weights(left: HistogramSet, right: HistogramSet, i, j) -> np.ndarray:
+    """``weight_matrix(left, right, MetricKind.PROPOSED)[i, j]``, bit for bit,
+    computing only those pairs."""
+    return PairDivergence(left, right).weights(np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp))

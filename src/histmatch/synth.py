@@ -25,13 +25,25 @@ _SALT_STRUCTURE = 2
 _SALT_LEFT = 3
 _SALT_RIGHT = 4
 
+_U32 = 0xFFFF_FFFF
 _U64 = 0xFFFF_FFFF_FFFF_FFFF
 
 
 def seeded_generator(*entropy: int) -> np.random.Generator:
-    """Deterministic PCG64 generator keyed by a tuple of integers."""
-    clean = tuple(int(e) & _U64 for e in entropy)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(clean)))
+    """Deterministic PCG64 generator keyed by a tuple of integers.
+
+    Each integer, masked to 64 bits, enters the ``SeedSequence`` as one
+    ``uint32`` array of its 32-bit words, low word first, one word below
+    2**32 (0 included): the words ``SeedSequence`` itself makes of the tuple
+    of masked ints, without its per-int conversion.
+    """
+    words = []
+    for e in entropy:
+        e = int(e) & _U64
+        words.append(e & _U32)
+        if e > _U32:
+            words.append(e >> 32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
 
 
 @dataclass(frozen=True)

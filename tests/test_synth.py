@@ -268,3 +268,18 @@ class TestPopulationChecks:
     def test_sum_within_choice_tolerance(self):
         left, _, _ = generate_pair([np.array([0.5, 0.5 + 1e-9])], 5, 5, OverlapSpec.full(1))
         assert len(left) == 1
+
+
+def test_seeded_generator_states_equal_the_int_tuple_seeding():
+    """The generator of each key has the state a ``SeedSequence`` of the
+    masked int tuple gives, so the streams do not depend on how the words are
+    passed, on this numpy or a later one."""
+    mask = 2**64 - 1
+    seeds = (0, 1, 2**32 - 1, 2**32, 2**40, -1, 2**64 - 1, 2**64)
+    for seed in seeds:
+        for salt in (1, 2, 3, 4, 2**32):
+            for user in range(50):
+                key = (seed, salt, user)
+                expected = np.random.PCG64(np.random.SeedSequence(tuple(int(e) & mask for e in key)))
+                assert seeded_generator(*key).bit_generator.state == expected.state
+    assert seeded_generator(2**64).bit_generator.state == seeded_generator(0).bit_generator.state
