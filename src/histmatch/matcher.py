@@ -16,13 +16,18 @@ Solvers:
   lightest remaining edge.
 
 All solvers minimize; similarity weights are converted to distances when the
-instance is built.  A1 and A2 import scipy's solver at their first call, so
-a process that never solves does not load ``scipy.optimize``.
+instance is built.  A1 and A2 load scipy's compiled assignment solver alone
+at their first call, never the ``scipy.optimize`` package, so no command
+loads ``scipy.optimize``.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -144,6 +149,30 @@ def _result(weights: np.ndarray, pairs: list[tuple[int, int]], algorithm: str) -
     return MatchResult(pairs=triples, total_weight=total, algorithm=algorithm)
 
 
+@lru_cache(maxsize=None)
+def _linear_sum_assignment():
+    """scipy's ``linear_sum_assignment``, loaded from its compiled module
+    ``scipy.optimize._lsap`` without the ``scipy.optimize`` package, which
+    would also load ``scipy.linalg``, ``scipy.special`` and ``scipy.fft``.
+    The module is registered under its own name, so a later ``import
+    scipy.optimize`` re-exports this very function.  A scipy whose module is
+    Python source imports its package anyway, so it is imported as usual."""
+    name = "scipy.optimize._lsap"
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy
+
+        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "optimize")])
+        if spec is None or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
+            from scipy.optimize import linear_sum_assignment
+
+            return linear_sum_assignment
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module.linear_sum_assignment
+
+
 def match_min_weight(instance: BipartiteInstance) -> MatchResult:
     """Exact minimum-weight maximal matching: every left node gets assigned.
 
@@ -174,8 +203,7 @@ def match_min_weight(instance: BipartiteInstance) -> MatchResult:
         result = _certified_min_weight(instance)
         if result is not None:
             return result
-    from scipy.optimize import linear_sum_assignment
-    rows, cols = linear_sum_assignment(instance.weights)
+    rows, cols = _linear_sum_assignment()(instance.weights)
     return _result(instance.weights, list(zip(rows, cols)), "A1")
 
 
@@ -197,10 +225,8 @@ def _certified_min_weight(instance: BipartiteInstance) -> MatchResult | None:
     i, j = np.nonzero(w < at_first[:, None])
     w[i, j] = exact(i, j)
     known = np.union1d(rows * m + first, i * m + j)
-    # Loaded only now, so that its memory never adds to the bound pass's.
-    from scipy.optimize import linear_sum_assignment
     for _ in range(CERTIFIED_ROUNDS):
-        r, c = linear_sum_assignment(w)
+        r, c = _linear_sum_assignment()(w)
         landed = ~np.isin(r * m + c, known, assume_unique=True)
         if not landed.any():
             return _result(w, list(zip(r, c)), "A1")
@@ -269,8 +295,7 @@ def match_cardinality(instance: BipartiteInstance, r: int) -> MatchResult:
     padded = np.empty((n, m + n - r))
     padded[:, :m] = w
     padded[:, m:] = lo - max(hi, -lo) - 1.0
-    from scipy.optimize import linear_sum_assignment
-    rows, cols = linear_sum_assignment(padded)
+    rows, cols = _linear_sum_assignment()(padded)
     real = cols < m
     return _result(w, list(zip(rows[real], cols[real])), f"A2({r})")
 

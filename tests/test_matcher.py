@@ -1,5 +1,8 @@
 import itertools
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -302,3 +305,65 @@ class TestMatchResult:
         res = MatchResult(pairs=((0, 1, 0.5), (1, 0, 0.25)), total_weight=0.75, algorithm="A1")
         assert len(res) == 2
         assert res.as_mapping() == {0: 1, 1: 0}
+
+
+class TestSolverLoading:
+    """``matcher`` loads scipy's compiled solver on its own; a process that
+    imported ``scipy.optimize`` first must solve to the same bytes."""
+
+    SCRIPT = textwrap.dedent("""
+        import sys
+        if sys.argv[1] == "first":
+            import scipy.optimize
+            loaded = sys.modules["scipy.optimize._lsap"]
+        from histmatch import matcher
+        from histmatch.metrics import MetricKind
+        from histmatch.synth import OverlapSpec, PopulationSpec, generate_pair, sample_population
+        population = sample_population(PopulationSpec(40, 200, 0.5, 3))
+        left, right, _ = generate_pair(population, 60, 60, OverlapSpec(30, 40, 30), 3)
+        dense = matcher.build_instance(left, right, MetricKind.PROPOSED)
+        matcher.CERTIFIED_MIN_COOCCURRENCES = 0
+        certified = matcher.build_instance(left, right, MetricKind.PROPOSED)
+        assert certified.certified and not dense.certified
+        assert matcher._certified_min_weight(certified) is not None
+        for result in (
+            matcher.match_min_weight(dense),
+            matcher.match_min_weight(certified),
+            matcher.match_cardinality(dense, 20),
+        ):
+            print(repr(result.pairs), repr(result.total_weight))
+        print("scipy.optimize" in sys.modules)
+        if sys.argv[1] == "first":
+            assert sys.modules["scipy.optimize._lsap"] is loaded, "the solver's module was loaded again"
+        import scipy.optimize
+        assert scipy.optimize.linear_sum_assignment is matcher._linear_sum_assignment()
+    """)
+
+    def _solve(self, order):
+        out = subprocess.run([sys.executable, "-c", self.SCRIPT, order], capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        return out.stdout.splitlines()
+
+    def test_scipy_optimize_imported_first(self):
+        default, first = self._solve("default"), self._solve("first")
+        assert default[-1] == "False" and first[-1] == "True"
+        assert len(default) == 4 and default[:3] == first[:3]
+
+    def test_falls_back_to_the_package_without_a_compiled_module(self):
+        script = textwrap.dedent("""
+            import importlib.machinery, sys
+            find_spec = importlib.machinery.PathFinder.find_spec
+
+            def without_compiled_solver(name, *args):
+                if name == "scipy.optimize._lsap" and "scipy.optimize" not in sys.modules:
+                    return None
+                return find_spec(name, *args)
+
+            importlib.machinery.PathFinder.find_spec = without_compiled_solver
+            from histmatch import matcher
+            solve = matcher._linear_sum_assignment()
+            import scipy.optimize
+            assert solve is scipy.optimize.linear_sum_assignment
+        """)
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
