@@ -5,10 +5,10 @@ File formats:
 * event log: headered CSV ``user,timestamp,location`` with integer epoch
   seconds (UTC);
 * location aggregation table: headered CSV ``from,to``;
-* histogram set: headered CSV ``owner,location,probability`` with rows
-  grouped by owner; each owner's probabilities must sum to 1 within 1e-6 on
-  load (they are renormalized exactly when slightly off); a set read holds
-  packed rows and builds its ``Histogram`` maps on first use;
+* histogram set: headered CSV ``owner,location,probability``; an owner's
+  rows may be split into runs, merged in file order; each owner's
+  probabilities must sum to 1 within 1e-6 on load (renormalized exactly when
+  slightly off); a set read holds packed rows and builds its maps on first use;
 * ground truth: headered CSV ``left_owner,right_owner``, no owner repeating;
 * match result: headered CSV ``left_owner,right_owner,weight`` plus a JSON
   summary ``{algorithm, cardinality, total_weight, runtime_ms}``;
@@ -20,7 +20,6 @@ import csv
 import json
 import math
 from array import array
-from bisect import bisect_right
 from itertools import chain, islice, repeat
 from pathlib import Path
 from types import SimpleNamespace
@@ -138,112 +137,74 @@ class _Codes(dict):
 def read_histogram_set(path: str | Path) -> HistogramSet:
     """A histogram CSV as packed rows (``HistogramSet.from_rows``).
 
-    ``csv.reader`` streams the file in steps of ``_CHUNK_ROWS`` records; each
-    step's rows become location codes and float64 masses in a few vectorized
-    calls, with one string object kept per distinct owner and location.  The
-    first failing row names its physical line; a row repeating its owner's
-    location fails where the repeat is, before any later failing row, and a
-    wrong owner sum fails after every row error.
+    ``csv.reader`` streams the file in steps of ``_CHUNK_ROWS`` records, each
+    parsed into owner codes, location codes and float64 masses in a few
+    vectorized calls, one string kept per distinct owner and location.  That
+    pass only parses: on any failure, ``_raise_first_failure`` re-reads the file.
     """
     owners, locations = _Codes(), _Codes()
-    # One item per row read, in file order.
-    read = of_owner, columns, masses = array("i"), array("i"), array("d")
-    # Per step: its first row and either the line before it, when each of its
-    # records is one non-blank line, or each row's line.
-    step_rows: list[int] = []
-    step_lines: list[int | np.ndarray] = []
-    stop: Exception | None = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _checked_reader(fh, path, HISTOGRAM_HEADER)
-        while stop is None:
-            before, records = reader.line_num, []
-            try:
-                records.extend(islice(reader, _CHUNK_ROWS))  # keeps the records read before a failure
-            except (csv.Error, ValueError, OSError) as exc:
-                stop = exc
-            if not records:
-                break
-            step_rows.append(len(masses))
-            one_line_each = reader.line_num - before == len(records) and all(records)
-            step_lines.append(before if one_line_each else _record_ends(records, before))
-            failure = _parse_step(records, owners, locations, read)
-            if failure is not None:
-                line = _line(step_rows, step_lines, len(masses))
-                stop = FileFormatError(f"{path}:{line}: {failure}")
-    owners, locations = tuple(owners), tuple(locations)
+    read = array("i"), array("i"), array("d")
     try:
-        if stop is not None:
-            raise stop
-        return _histogram_set(path, owners, locations, *read)
-    except (FileFormatError, csv.Error, ValueError, OSError):
-        # A row repeating its owner's location fails before every later failure.
-        repeat = _first_repeat(of_owner, columns, len(locations))
-        if repeat is None:
-            raise
-        owner, location = owners[of_owner[repeat]], locations[columns[repeat]]
-        line = _line(step_rows, step_lines, repeat)
-        raise FileFormatError(f"{path}:{line}: duplicate location {location!r} for owner {owner!r}") from None
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = _checked_reader(fh, path, HISTOGRAM_HEADER)
+            while _parse_step(reader, owners, locations, read):
+                pass
+        return _histogram_set(tuple(owners), tuple(locations), *read)
+    except (FileFormatError, csv.Error, ValueError, OSError) as exc:
+        failure = exc
+    _raise_first_failure(path)
+    raise failure
 
 
-def _parse_step(records: list[list[str]], owners: _Codes, locations: _Codes, read: tuple[array, array, array]) -> str | None:
-    """Append the owner codes, location codes and masses of ``records``' rows
-    to ``read``, up to the first failing row, and return that row's failure."""
-    rows, good, failure = records, len(records), None
+def _parse_step(reader, owners: _Codes, locations: _Codes, read: tuple[array, array, array]) -> bool:
+    """Append the owner codes, location codes and masses of the rows in
+    ``reader``'s next ``_CHUNK_ROWS`` records to ``read``; false at the end of
+    the file.  A row that fails raises ``ValueError``, naming no line."""
+    records = list(islice(reader, _CHUNK_ROWS))
     if set(map(len, records)) != {3}:
-        rows = list(filter(None, records))  # blank lines are skipped
-        good = next((i for i, row in enumerate(rows) if len(row) != 3), len(rows))
-        if good < len(rows):
-            failure = f"expected 3 columns, got {len(rows[good])}"
-    owner_texts, location_texts, prob_texts = zip(*rows[:good]) if good else ((), (), ())
-    try:
-        mass = np.fromiter(map(float, prob_texts), dtype=np.float64, count=good)
-    except ValueError:
-        good = next(i for i, text in enumerate(prob_texts) if not _is_float(text))
-        failure = f"probability {prob_texts[good].strip()!r} is not a number"
-        mass = np.fromiter(map(float, prob_texts[:good]), dtype=np.float64, count=good)
-    if good and not (mass.min() > 0.0 and mass.max() < math.inf):
-        good = int(np.flatnonzero(~((mass > 0.0) & (mass < math.inf)))[0])
-        failure = "probability must be finite and positive"
-    owner = np.fromiter(map(owners.__getitem__, map(str.strip, owner_texts[:good])), dtype=np.int32, count=good)
-    column = np.fromiter(map(locations.__getitem__, map(str.strip, location_texts[:good])), dtype=np.int32, count=good)
-    for buffer, values in zip(read, (owner, column, mass[:good])):
+        if not records:
+            return False
+        records = list(filter(None, records))  # blank lines are skipped
+        if set(map(len, records)) - {3}:
+            raise ValueError("a row without 3 columns")
+    owner_texts, location_texts, prob_texts = zip(*records) if records else ((), (), ())
+    count = len(records)
+    mass = np.fromiter(map(float, prob_texts), dtype=np.float64, count=count)
+    if count and not (mass.min() > 0.0 and mass.max() < math.inf):
+        raise ValueError("a probability that is not finite and positive")
+    owner = np.fromiter(map(owners.__getitem__, map(str.strip, owner_texts)), dtype=np.int32, count=count)
+    column = np.fromiter(map(locations.__getitem__, map(str.strip, location_texts)), dtype=np.int32, count=count)
+    for buffer, values in zip(read, (owner, column, mass)):
         buffer.frombytes(values.view(np.uint8))
-    return failure
-
-
-def _record_ends(records: list[list[str]], before: int) -> np.ndarray:
-    """The physical line on which each non-blank record ends, the line before
-    the first record being ``before``: a record spans one line plus one per
-    line break inside its quoted fields, where CR LF, CR and LF each end a line."""
-    spans = [1 + sum(f.count("\r") + f.count("\n") - f.count("\r\n") for f in record) for record in records]
-    ends = before + np.cumsum(spans, dtype=np.int64)
-    return ends[np.flatnonzero(list(map(len, records)))]
-
-
-def _line(step_rows: list[int], step_lines: list[int | np.ndarray], row: int) -> int:
-    """The physical line of a row read, by its index in file order."""
-    step = bisect_right(step_rows, row) - 1
-    lines, offset = step_lines[step], row - step_rows[step]
-    return int(lines[offset]) if isinstance(lines, np.ndarray) else lines + 1 + offset
-
-
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
     return True
 
 
-def _first_repeat(of_owner: array, columns: array, width: int) -> int | None:
-    """The first row, in file order, whose owner and location an earlier row has."""
-    keys = np.frombuffer(of_owner, dtype=np.int32).astype(np.int64) * width + np.frombuffer(columns, dtype=np.int32)
-    order = np.argsort(keys, kind="stable")
-    later = order[1:][keys[order[1:]] == keys[order[:-1]]]
-    return int(later.min()) if later.size else None
+def _raise_first_failure(path: str | Path) -> None:
+    """Read a histogram CSV row by row and raise its first failure: a row's
+    columns, probability or repeated location, named by its physical line,
+    then the first owner whose sum is off 1 by more than ``HISTOGRAM_SUM_ATOL``."""
+    by_owner: dict[str, dict[str, float]] = {}
+    for lineno, row in _read_rows(path, HISTOGRAM_HEADER):
+        owner, location, prob_text = (c.strip() for c in row)
+        try:
+            prob = float(prob_text)
+        except ValueError:
+            raise FileFormatError(f"{path}:{lineno}: probability {prob_text!r} is not a number") from None
+        if not math.isfinite(prob) or prob <= 0.0:
+            raise FileFormatError(f"{path}:{lineno}: probability must be finite and positive")
+        mass = by_owner.setdefault(owner, {})
+        if location in mass:
+            raise FileFormatError(f"{path}:{lineno}: duplicate location {location!r} for owner {owner!r}")
+        mass[location] = prob
+    for owner, mass in by_owner.items():
+        total = math.fsum(mass.values())
+        if abs(total - 1.0) > HISTOGRAM_SUM_ATOL:
+            raise FileFormatError(
+                f"{path}: probabilities for owner {owner!r} sum to {total!r}, not 1 +/- {HISTOGRAM_SUM_ATOL}"
+            )
 
 
-def _histogram_set(path, owners, locations, of_owner, columns, masses) -> HistogramSet:
+def _histogram_set(owners, locations, of_owner, columns, masses) -> HistogramSet:
     """The set of the rows read: each owner's rows in file order, rows off 1
     by at most ``HISTOGRAM_SUM_ATOL`` renormalized."""
     owner = np.frombuffer(of_owner, dtype=np.int32)
@@ -265,9 +226,7 @@ def _histogram_set(path, owners, locations, of_owner, columns, masses) -> Histog
     rows = csr_array((data, indices, indptr), shape=(len(owners), len(locations)))
     for i, total in row_sums_off(rows, MASS_ATOL):
         if abs(total - 1.0) > HISTOGRAM_SUM_ATOL:
-            raise FileFormatError(
-                f"{path}: probabilities for owner {owners[i]!r} sum to {total!r}, not 1 +/- {HISTOGRAM_SUM_ATOL}"
-            )
+            raise ValueError(f"probabilities for owner {owners[i]!r} sum to {total!r}")
         rows.data[rows.indptr[i] : rows.indptr[i + 1]] /= total
     return HistogramSet.from_rows(owners, locations, rows)
 

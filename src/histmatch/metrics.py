@@ -386,13 +386,3 @@ def _expand(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarra
     owner = np.repeat(np.arange(len(rows)), counts)
     return owner, np.arange(len(owner)) + np.repeat(begin - (np.cumsum(counts) - counts), counts)
 
-
-def divergence_lower_bounds(left: HistogramSet, right: HistogramSet) -> np.ndarray:
-    """A lower bound of every pair's divergence weight (``PairDivergence``)."""
-    return PairDivergence(left, right).lower_bounds()
-
-
-def pair_weights(left: HistogramSet, right: HistogramSet, i, j) -> np.ndarray:
-    """``weight_matrix(left, right, MetricKind.PROPOSED)[i, j]``, bit for bit,
-    computing only those pairs."""
-    return PairDivergence(left, right).weights(np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp))

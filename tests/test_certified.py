@@ -26,9 +26,8 @@ from histmatch.metrics import (
     SHAVE_PER_TERM,
     SHAVE_TERMS,
     MetricKind,
+    PairDivergence,
     cooccurrences,
-    divergence_lower_bounds,
-    pair_weights,
     weight_matrix,
 )
 from histmatch.synth import OverlapSpec, PopulationSpec, generate_pair, sample_population
@@ -58,7 +57,7 @@ def dirichlet_set(rng, n, locations, alpha=1.0, prefix="o"):
 
 
 def assert_bound_below(left, right):
-    bounds, weights = divergence_lower_bounds(left, right), weight_matrix(left, right, PROPOSED)
+    bounds, weights = PairDivergence(left, right).lower_bounds(), weight_matrix(left, right, PROPOSED)
     assert bounds.shape == weights.shape
     assert (bounds >= 0.0).all() and (bounds <= MAX_DIVERGENCE_WEIGHT).all()
     assert (bounds <= weights).all()
@@ -67,7 +66,8 @@ def assert_bound_below(left, right):
 
 def assert_pairs_exact(left, right, i, j):
     expected = weight_matrix(left, right, PROPOSED)[i, j]
-    assert pair_weights(left, right, i, j).tobytes() == expected.tobytes()
+    got = PairDivergence(left, right).weights(np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp))
+    assert got.tobytes() == expected.tobytes()
 
 
 # -- the bound ----------------------------------------------------------------
@@ -106,7 +106,7 @@ def test_the_shave_is_needed(monkeypatch):
     monkeypatch.setattr(metrics, "SHAVE_PER_TERM", 0.0)
     monkeypatch.setattr(metrics, "SHAVE_TERMS", 0)
     for pair in cases:
-        assert (divergence_lower_bounds(*pair) > weight_matrix(*pair, PROPOSED)).any()
+        assert (PairDivergence(*pair).lower_bounds() > weight_matrix(*pair, PROPOSED)).any()
 
 
 def test_identical_histograms_bound_to_zero():
@@ -224,7 +224,7 @@ def test_pair_weights_over_many_shared_locations_and_tiny_blocks(monkeypatch):
 
 def test_pair_weights_of_no_pairs():
     left, right = synth_pair(5, 6, 1.0, 50, seed=2)
-    assert pair_weights(left, right, [], []).shape == (0,)
+    assert PairDivergence(left, right).weights(np.asarray([], dtype=np.intp), np.asarray([], dtype=np.intp)).shape == (0,)
 
 
 def test_cooccurrences_count_shared_locations_of_distinct_rows():

@@ -252,6 +252,27 @@ class TestAnonymizeCommand:
         assert json.loads(err)["error"] == "InvalidKError"
 
 
+class TestReaderErrors:
+    @pytest.mark.parametrize("command, rows, message", [
+        ("match", ["u1,a,0.5", "u1,b,half"], ":3: probability 'half' is not a number"),
+        ("anonymize", ["u1,a,0.5", "u2,a,1.0", "u1,b,0.25", "u1,a,0.25"], ":5: duplicate location 'a' for owner 'u1'"),
+    ])
+    def test_one_json_line_naming_the_line(self, tmp_path, command, rows, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("owner,location,probability\n" + "\n".join(rows) + "\n")
+        good = tmp_path / "good.csv"
+        good.write_text("owner,location,probability\nv1,a,1.0\nv2,b,1.0\n")
+        argv = {
+            "match": ["--left", str(bad), "--right", str(good), "--out-pairs", str(tmp_path / "p.csv")],
+            "anonymize": ["--input", str(bad), "--k", "1", "--out-released", str(tmp_path / "r.csv")],
+        }[command]
+        out = subprocess.run(
+            [sys.executable, "-m", "histmatch.cli", command, *argv], capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 1
+        assert out.stderr.splitlines() == [json.dumps({"error": "FileFormatError", "message": f"{bad}{message}"})]
+
+
 class TestIngestCommand:
     def test_split_filter_and_histograms(self, tmp_path, capsys):
         events = tmp_path / "events.csv"

@@ -331,9 +331,15 @@ def _outcome(read, path):
 
 
 def assert_reads_like_oracle(path):
-    got, got_error = _outcome(hio.read_histogram_set, path)
+    # the row-by-row re-read runs exactly when the file fails
+    explained = []
+    explain = hio._raise_first_failure
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hio, "_raise_first_failure", lambda p: (explained.append(p), explain(p)))
+        got, got_error = _outcome(hio.read_histogram_set, path)
     want, want_error = _outcome(_oracle_read_histogram_set, path)
     assert got_error == want_error
+    assert explained == ([path] if want_error else [])
     if want is None:
         return
     assert got.owners == want.owners
@@ -469,7 +475,7 @@ class TestReaderMatchesOracle:
         assert_reads_like_oracle(plain)
         # bytes that are not UTF-8, decoded only after the rows before them
         padding = "".join(f"w{i},a,1.0\n" for i in range(3000))
-        for bad_row in ("u1,a,oops\n", ""):
+        for bad_row in ("u1,a,oops\n", "", "u1,a,0.5\n"):  # a bad row, none, an owner whose sum is off
             path = tmp_path / "bytes.csv"
             path.write_bytes(f"owner,location,probability\n{bad_row}{padding}".encode() + b"u2,\xff,1.0\n")
             for chunk in (7, 128):
