@@ -8,7 +8,9 @@ File formats:
 * histogram set: headered CSV ``owner,location,probability``; an owner's
   rows may be split into runs, merged in file order; each owner's
   probabilities must sum to 1 within 1e-6 on load (renormalized exactly when
-  slightly off); a set read holds packed rows and builds its maps on first use;
+  slightly off); a set read holds packed rows and builds its maps on first use.
+  A plain file is tokenized as bytes; a file with quotes, blank lines or lone
+  CRs, or one that fails, is read row by row (3x slower), naming its error;
 * ground truth: headered CSV ``left_owner,right_owner``, no owner repeating;
 * match result: headered CSV ``left_owner,right_owner,weight`` plus a JSON
   summary ``{algorithm, cardinality, total_weight, runtime_ms}``;
@@ -20,7 +22,7 @@ import csv
 import json
 import math
 from array import array
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -49,33 +51,32 @@ MATCH_HEADER = ["left_owner", "right_owner", "weight"]
 
 HISTOGRAM_SUM_ATOL = 1e-6
 
-# Records the histogram reader parses per step: enough that numpy's per-call
-# cost is spread thin, few enough that a step's strings stay small.
-_CHUNK_ROWS = 128
-
-
-def _checked_reader(fh, path: str | Path, expected_header: list[str]):
-    """A ``csv.reader`` over ``fh`` positioned after its checked header."""
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FileFormatError(f"{path}: empty file, expected header {expected_header}") from None
-    if [h.strip() for h in header] != expected_header:
-        raise FileFormatError(f"{path}: header {header!r} does not match {expected_header}")
-    return reader
+# Bytes of the byte tokenizer's first block; a later block is a sixteenth of
+# the bytes read when that is more, so its tokens stay small next to the set.
+_BLOCK_BYTES = 1 << 13
+_NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
 
 
 def _read_rows(path: str | Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield each non-empty row after a checked header with its physical line
     number, one at a time, so a reader holds only what it keeps of the file.
-    Every row has as many columns as the header."""
+    Every row has as many columns as the header; a ``csv`` or decode error is a ``FileFormatError``."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = _checked_reader(fh, path, expected_header)
-        for row in filter(None, reader):
-            if len(row) != len(expected_header):
-                raise FileFormatError(f"{path}:{reader.line_num}: expected {len(expected_header)} columns, got {len(row)}")
-            yield reader.line_num, row
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise FileFormatError(f"{path}: empty file, expected header {expected_header}")
+            if [h.strip() for h in header] != expected_header:
+                raise FileFormatError(f"{path}: header {header!r} does not match {expected_header}")
+            for row in filter(None, reader):
+                if len(row) != len(expected_header):
+                    raise FileFormatError(f"{path}:{reader.line_num}: expected {len(expected_header)} columns, got {len(row)}")
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def write_rows(path: str | Path, header: list[str], rows: Iterable) -> None:
@@ -134,55 +135,76 @@ class _Codes(dict):
         return code
 
 
+class _FieldCodes(dict):
+    """Each raw field's code: that of its decoded, stripped text in ``texts``."""
+
+    def __init__(self):
+        self.texts = _Codes()
+
+    def __missing__(self, raw: bytes) -> int:
+        self[raw] = code = self.texts[raw.decode().strip()]
+        return code
+
+
+class _NotPlain(Exception):
+    """A histogram CSV that only the row-by-row reader reads."""
+
+
 def read_histogram_set(path: str | Path) -> HistogramSet:
-    """A histogram CSV as packed rows (``HistogramSet.from_rows``).
-
-    ``csv.reader`` streams the file in steps of ``_CHUNK_ROWS`` records, each
-    parsed into owner codes, location codes and float64 masses in a few
-    vectorized calls, one string kept per distinct owner and location.  That
-    pass only parses: on any failure, ``_raise_first_failure`` re-reads the file.
-    """
-    owners, locations = _Codes(), _Codes()
-    read = array("i"), array("i"), array("d")
+    """A histogram CSV as packed rows, tokenized as bytes if plain, else (or on failure) read row by row."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = _checked_reader(fh, path, HISTOGRAM_HEADER)
-            while _parse_step(reader, owners, locations, read):
-                pass
-        return _histogram_set(tuple(owners), tuple(locations), *read)
-    except (FileFormatError, csv.Error, ValueError, OSError) as exc:
-        failure = exc
-    _raise_first_failure(path)
-    raise failure
+        return _read_plain(path)
+    except (_NotPlain, ValueError, OSError):
+        return _read_row_by_row(path)
 
 
-def _parse_step(reader, owners: _Codes, locations: _Codes, read: tuple[array, array, array]) -> bool:
-    """Append the owner codes, location codes and masses of the rows in
-    ``reader``'s next ``_CHUNK_ROWS`` records to ``read``; false at the end of
-    the file.  A row that fails raises ``ValueError``, naming no line."""
-    records = list(islice(reader, _CHUNK_ROWS))
-    if set(map(len, records)) != {3}:
-        if not records:
-            return False
-        records = list(filter(None, records))  # blank lines are skipped
-        if set(map(len, records)) - {3}:
-            raise ValueError("a row without 3 columns")
-    owner_texts, location_texts, prob_texts = zip(*records) if records else ((), (), ())
-    count = len(records)
-    mass = np.fromiter(map(float, prob_texts), dtype=np.float64, count=count)
-    if count and not (mass.min() > 0.0 and mass.max() < math.inf):
+def _read_plain(path: str | Path) -> HistogramSet:
+    """The set of a plain file (``_tokenize``), read in blocks cut at their last line end."""
+    owners, locations = _FieldCodes(), _FieldCodes()
+    read = array("i"), array("i"), array("d")
+    with open(path, "rb") as fh:
+        if fh.readline() not in (b"owner,location,probability\n", b"owner,location,probability\r\n"):
+            raise _NotPlain
+        carry = b""
+        while block := fh.read(max(_BLOCK_BYTES, fh.tell() // 16)):
+            cut = block.rfind(b"\n") + 1
+            if cut:
+                _tokenize(carry + block[:cut], owners, locations, read)
+                carry = b""
+            carry += block[cut:]
+        if carry:
+            _tokenize(carry + b"\n", owners, locations, read)
+    return _histogram_set(tuple(owners.texts), tuple(locations.texts), *read)
+
+
+def _tokenize(lines: bytes, owners: _FieldCodes, locations: _FieldCodes, read: tuple[array, array, array]) -> None:
+    """Append the owner codes, location codes and masses of ``lines`` (whole lines) to ``read``;
+    raise ``_NotPlain`` unless ``csv`` splits them at commas alone: no quote or NUL, two commas
+    a line, each ``\\r`` just before a ``\\n``, no field over ``csv.field_size_limit()``."""
+    text = np.frombuffer(lines, dtype=np.uint8)
+    ends = np.flatnonzero((text == ord(",")) | (text == ord("\n")))
+    kinds = text[ends]
+    if b'"' in lines or b"\0" in lines or kinds.size % 3 or np.any(kinds.reshape(-1, 3) != tuple(b",,\n")):
+        raise _NotPlain
+    crs = np.count_nonzero(text == ord("\r"))
+    if crs != np.count_nonzero(text[ends[2::3] - 1] == ord("\r")) or np.diff(ends, prepend=-1).max() > csv.field_size_limit() + 1:
+        raise _NotPlain
+    fields = lines.translate(_NEWLINE_TO_COMMA, b"\r").split(b",")
+    fields.pop()  # after the last line end
+    count = len(fields) // 3
+    mass = np.fromiter(map(float, fields[2::3]), dtype=np.float64, count=count)
+    if not (mass.min() > 0.0 and mass.max() < math.inf):
         raise ValueError("a probability that is not finite and positive")
-    owner = np.fromiter(map(owners.__getitem__, map(str.strip, owner_texts)), dtype=np.int32, count=count)
-    column = np.fromiter(map(locations.__getitem__, map(str.strip, location_texts)), dtype=np.int32, count=count)
+    owner = np.fromiter(map(owners.__getitem__, fields[0::3]), dtype=np.int32, count=count)
+    column = np.fromiter(map(locations.__getitem__, fields[1::3]), dtype=np.int32, count=count)
     for buffer, values in zip(read, (owner, column, mass)):
         buffer.frombytes(values.view(np.uint8))
-    return True
 
 
-def _raise_first_failure(path: str | Path) -> None:
-    """Read a histogram CSV row by row and raise its first failure: a row's
-    columns, probability or repeated location, named by its physical line,
-    then the first owner whose sum is off 1 by more than ``HISTOGRAM_SUM_ATOL``."""
+def _read_row_by_row(path: str | Path) -> HistogramSet:
+    """A histogram CSV read row by row through ``csv``, raising its first failure:
+    a row's columns, probability or repeated location, named by its physical
+    line, then the first owner whose sum is off 1 by more than 1e-6."""
     by_owner: dict[str, dict[str, float]] = {}
     for lineno, row in _read_rows(path, HISTOGRAM_HEADER):
         owner, location, prob_text = (c.strip() for c in row)
@@ -202,6 +224,11 @@ def _raise_first_failure(path: str | Path) -> None:
             raise FileFormatError(
                 f"{path}: probabilities for owner {owner!r} sum to {total!r}, not 1 +/- {HISTOGRAM_SUM_ATOL}"
             )
+    locations = _Codes()
+    of_owner = np.repeat(np.arange(len(by_owner), dtype=np.int32), list(map(len, by_owner.values())))
+    columns = np.fromiter(map(locations.__getitem__, chain.from_iterable(by_owner.values())), dtype=np.int32, count=of_owner.size)
+    masses = np.fromiter(chain.from_iterable(m.values() for m in by_owner.values()), dtype=np.float64, count=of_owner.size)
+    return _histogram_set(tuple(by_owner), tuple(locations), of_owner, columns, masses)
 
 
 def _histogram_set(owners, locations, of_owner, columns, masses) -> HistogramSet:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -271,6 +272,23 @@ class TestReaderErrors:
         )
         assert out.returncode == 1
         assert out.stderr.splitlines() == [json.dumps({"error": "FileFormatError", "message": f"{bad}{message}"})]
+
+    @pytest.mark.parametrize("body, message", [
+        (f"u1,a,1.0\nu2,{'x' * (csv.field_size_limit() + 1)},1.0\n".encode(), ":3: field larger than field limit"),
+        (b"u1,a,1.0\nu2,\xff,1.0\n", ": not UTF-8 text"),
+    ], ids=["field-limit", "not-utf8"])
+    def test_csv_and_decode_errors_name_the_file(self, tmp_path, body, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"owner,location,probability\n" + body)
+        good = tmp_path / "good.csv"
+        good.write_text("owner,location,probability\nv1,a,1.0\nv2,b,1.0\n")
+        argv = ["match", "--left", str(bad), "--right", str(good), "--out-pairs", str(tmp_path / "p.csv")]
+        out = subprocess.run([sys.executable, "-m", "histmatch.cli", *argv], capture_output=True, text=True, timeout=120)
+        assert out.returncode == 1
+        [line] = out.stderr.splitlines()  # one JSON line, no traceback
+        error = json.loads(line)
+        assert error["error"] == "FileFormatError"
+        assert error["message"].startswith(f"{bad}{message}")
 
 
 class TestIngestCommand:

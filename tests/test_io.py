@@ -269,7 +269,9 @@ class TestJsonFile:
 
 
 # The dict-building histogram reader that ``read_histogram_set`` replaced,
-# kept verbatim as the reference (its row helper renamed ``_oracle_read_rows``).
+# kept verbatim as the reference (its row helper renamed ``_oracle_read_rows``),
+# but for one edit: a ``csv.Error`` or a decode error is a ``FileFormatError``
+# naming the file, as every CSV reader of the package now raises it.
 def _oracle_read_rows(path: str | Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield each non-empty row after a checked header with its physical line
     number, one at a time, so a reader holds only what it keeps of the file.
@@ -277,15 +279,20 @@ def _oracle_read_rows(path: str | Path, expected_header: list[str]) -> Iterator[
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FileFormatError(f"{path}: empty file, expected header {expected_header}") from None
-        if [h.strip() for h in header] != expected_header:
-            raise FileFormatError(f"{path}: header {header!r} does not match {expected_header}")
-        for row in filter(None, reader):
-            if len(row) != len(expected_header):
-                raise FileFormatError(f"{path}:{reader.line_num}: expected {len(expected_header)} columns, got {len(row)}")
-            yield reader.line_num, row
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise FileFormatError(f"{path}: empty file, expected header {expected_header}") from None
+            if [h.strip() for h in header] != expected_header:
+                raise FileFormatError(f"{path}: header {header!r} does not match {expected_header}")
+            for row in filter(None, reader):
+                if len(row) != len(expected_header):
+                    raise FileFormatError(f"{path}:{reader.line_num}: expected {len(expected_header)} columns, got {len(row)}")
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _oracle_read_histogram_set(path: str | Path) -> HistogramSet:
@@ -330,16 +337,38 @@ def _outcome(read, path):
         return None, (type(exc), str(exc))
 
 
+def _is_plain(path) -> bool:
+    """Whether the byte tokenizer reads ``path`` itself: UTF-8, no quote, NUL
+    or lone CR, the exact header, then lines of three comma-separated fields,
+    none longer than the csv field limit, each mass ASCII.  The end of the
+    file ends a line."""
+    data = path.read_bytes()
+    data += b"" if data.endswith(b"\n") else b"\n"
+    if b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n"):
+        return False
+    try:
+        data.decode()
+    except UnicodeDecodeError:
+        return False
+    header, *lines = data[:-1].split(b"\n")
+    rows = [line.split(b",") for line in lines]
+    return (
+        header.removesuffix(b"\r") == b"owner,location,probability"
+        and all(len(row) == 3 and row[2].isascii() for row in rows)
+        and all(len(field) <= csv.field_size_limit() for row in rows for field in row)
+    )
+
+
 def assert_reads_like_oracle(path):
-    # the row-by-row re-read runs exactly when the file fails
+    # the row-by-row reader runs exactly when the file fails or is not plain
     explained = []
-    explain = hio._raise_first_failure
+    read_row_by_row = hio._read_row_by_row
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hio, "_raise_first_failure", lambda p: (explained.append(p), explain(p)))
+        mp.setattr(hio, "_read_row_by_row", lambda p: (explained.append(p), read_row_by_row(p))[1])
         got, got_error = _outcome(hio.read_histogram_set, path)
     want, want_error = _outcome(_oracle_read_histogram_set, path)
     assert got_error == want_error
-    assert explained == ([path] if want_error else [])
+    assert explained == ([path] if want_error or not _is_plain(path) else [])
     if want is None:
         return
     assert got.owners == want.owners
@@ -366,6 +395,11 @@ def _write(path, text):
     return path
 
 
+# The byte tokenizer's first block sizes under test: cuts inside fields and
+# CRLF pairs, and the default.
+BLOCK_SIZES = (1, 2, 3, 7, hio._BLOCK_BYTES)
+
+
 class TestReaderMatchesOracle:
     def test_seeded_sets(self, tmp_path, rng):
         for n, alphabet, support in ((1, 1, 1), (6, 10, 4), (40, 30, 12), (25, 400, 150)):
@@ -385,16 +419,19 @@ class TestReaderMatchesOracle:
         assert_reads_like_oracle(path)
         assert hio.read_histogram_set(path).locations == ("a", "b", "c")
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 128])
-    def test_owner_straddles_steps(self, tmp_path, monkeypatch, chunk):
-        monkeypatch.setattr(hio, "_CHUNK_ROWS", chunk)
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 128, hio._BLOCK_BYTES])
+    def test_owner_straddles_steps(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(hio, "_BLOCK_BYTES", block)
         lines = [f"u{i},L{j},{1 / 5!r}" for i in range(4) for j in range(i, i + 5)]
-        path = _write(tmp_path / "h.csv", "owner,location,probability\n" + "\n".join(lines) + "\n")
-        assert_reads_like_oracle(path)
-        # a repeat, bad rows and blank lines across step boundaries
-        for bad in ("u1,L2,0.2", "u1,L9", "u1,L9,x", "u1,L9,-0.2", "\n\nu1,L1,0.2"):
-            text = "owner,location,probability\n" + "\n".join(lines[:8] + [bad] + lines[8:]) + "\n"
-            assert_reads_like_oracle(_write(tmp_path / "bad.csv", text))
+        for end in ("\n", "\r\n"):  # small blocks cut fields and CRLF pairs
+            path = _write(tmp_path / "h.csv", "owner,location,probability\n" + end.join(lines) + end)
+            assert_reads_like_oracle(path)
+            # no line end after the last line
+            assert_reads_like_oracle(_write(tmp_path / "h.csv", "owner,location,probability\n" + end.join(lines)))
+            # a repeat, bad rows and blank lines across block boundaries
+            for bad in ("u1,L2,0.2", "u1,L9", "u1,L9,x", "u1,L9,-0.2", "\n\nu1,L1,0.2"):
+                text = "owner,location,probability\n" + end.join(lines[:8] + [bad] + lines[8:]) + end
+                assert_reads_like_oracle(_write(tmp_path / "bad.csv", text))
 
     def test_long_owner_across_default_steps(self, tmp_path):
         masses = [1 / 300] * 300
@@ -417,6 +454,9 @@ class TestReaderMatchesOracle:
         assert_reads_like_oracle(path)
         bad = _write(tmp_path / "bad.csv", end.join(["owner,location,probability", *body, "", "u3,a,zero"]) + end)
         assert_reads_like_oracle(bad)
+        # a CR that ends a line where no LF does
+        for odd in ("u4,a\r,1.0", "u4,a,1.0\r"):
+            assert_reads_like_oracle(_write(tmp_path / "cr.csv", end.join(["owner,location,probability", "u1,a,1.0", odd]) + end))
 
     def test_quoted_fields_and_whitespace(self, tmp_path):
         text = (
@@ -429,6 +469,8 @@ class TestReaderMatchesOracle:
         )
         path = _write(tmp_path / "h.csv", text)
         assert_reads_like_oracle(path)
+        # quotes around fields that need none
+        assert_reads_like_oracle(_write(tmp_path / "q.csv", "owner,location,probability\n\"u1\",a,1.0\nu2,\"b\",1.0\n"))
         # a row after a record that spans lines names its own physical line
         bad = _write(tmp_path / "bad.csv", text + "u4,a,nope\n")
         assert_reads_like_oracle(bad)
@@ -452,6 +494,7 @@ class TestReaderMatchesOracle:
             ["u1,a,0.5", "u1,a,0.5", "u1,b,x"],
             ["u1,a,-1", "u1,a,0.5"],
             ["u1,a,inf"],
+            ["u1,a,inf", "u1,b,-inf"],
             ["u1,a,0.0"],
             ["u1,a,-0.0"],
             ["u1,a,1e-400"],
@@ -460,10 +503,11 @@ class TestReaderMatchesOracle:
             ["u1"],
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_first_failure_wins(self, tmp_path, monkeypatch, rows):
         path = _write(tmp_path / "h.csv", "owner,location,probability\n" + "\n".join(rows) + "\n")
-        for chunk in (1, 2, 128):
-            monkeypatch.setattr(hio, "_CHUNK_ROWS", chunk)
+        for block in BLOCK_SIZES:
+            monkeypatch.setattr(hio, "_BLOCK_BYTES", block)
             assert_reads_like_oracle(path)
 
     def test_csv_error_after_a_bad_row(self, tmp_path, monkeypatch):
@@ -473,21 +517,25 @@ class TestReaderMatchesOracle:
         assert_reads_like_oracle(path)
         plain = _write(tmp_path / "p.csv", f"owner,location,probability\nu1,a,1.0\nu1,{huge},0.5\n")
         assert_reads_like_oracle(plain)
+        # a field over the limit in a valid file, and one at the limit
+        for location in (huge, huge[1:]):
+            assert_reads_like_oracle(_write(tmp_path / "one.csv", f"owner,location,probability\nu1,{location},1.0\n"))
         # bytes that are not UTF-8, decoded only after the rows before them
         padding = "".join(f"w{i},a,1.0\n" for i in range(3000))
         for bad_row in ("u1,a,oops\n", "", "u1,a,0.5\n"):  # a bad row, none, an owner whose sum is off
             path = tmp_path / "bytes.csv"
             path.write_bytes(f"owner,location,probability\n{bad_row}{padding}".encode() + b"u2,\xff,1.0\n")
-            for chunk in (7, 128):
-                monkeypatch.setattr(hio, "_CHUNK_ROWS", chunk)
+            for block in BLOCK_SIZES:
+                monkeypatch.setattr(hio, "_BLOCK_BYTES", block)
                 assert_reads_like_oracle(path)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_property(self, tmp_path_factory, data):
         draw = data.draw
-        owners = draw(st.lists(st.sampled_from(["u1", "u2", " u3", "u,4", 'q"5', "u6"]), min_size=1, max_size=4, unique=True))
-        pool = ["a", "b", "c,d", ' e', 'f"g', "h\ni", "j\r\nk", "L1", "L2", "L3"]
+        # non-ASCII text, and fields that differ only by padding ("u1 ", "L2\t")
+        owners = draw(st.lists(st.sampled_from(["u1", "u2", " u3", "u,4", 'q"5', "u6", "ü7", "u1 "]), min_size=1, max_size=4, unique=True))
+        pool = ["a", "b", "c,d", ' e', 'f"g', "h\ni", "j\r\nk", "L1", "L2", "L3", "ß8", "L2\t"]
         lines = []
         for owner in owners:
             locs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True))
@@ -522,7 +570,7 @@ class TestReaderMatchesOracle:
         path = tmp_path_factory.mktemp("prop") / "h.csv"
         _write(path, buffer.getvalue())
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hio, "_CHUNK_ROWS", draw(st.sampled_from([1, 2, 3, 128])))
+            mp.setattr(hio, "_BLOCK_BYTES", draw(st.sampled_from(BLOCK_SIZES)))
             assert_reads_like_oracle(path)
 
 
