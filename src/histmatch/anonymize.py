@@ -6,7 +6,7 @@ exactly identical to at least k-1 others.  Cluster quality is scored by the
 l1 distortion between members and their centroid, normalized by the distortion
 of collapsing everything to the grand centroid.
 
-Both steps run on the set's packed CSR rows (``HistogramSet.rows``), and
+Both steps run on the set's per-entry CSR rows (``HistogramSet.rows``), and
 every l1 distance that decides a cluster or enters the loss equals
 ``weight_l1``'s, which ``math.fsum`` rounds exactly.
 """

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
 from typing import Iterable, Mapping
@@ -58,11 +58,11 @@ class Histogram:
 
     Only strictly positive probabilities are stored.  ``sample_count`` is the
     number of observations the histogram was built from (0 when synthetic or
-    externally supplied).
+    externally supplied); equality ignores it, as the CSV form does not keep it.
     """
 
     mass: dict[str, float]
-    sample_count: int = 0
+    sample_count: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if not self.mass:
@@ -78,22 +78,19 @@ class Histogram:
     def support_count(self) -> int:
         return len(self.mass)
 
-    @classmethod
-    def from_mass(cls, mass: Mapping[str, float], sample_count: int = 0) -> "Histogram":
-        return cls(mass=dict(mass), sample_count=sample_count)
-
 
 class HistogramSet:
     """Ordered collection of (owner id, histogram) pairs, immutable.
 
-    A set is built from its entries, or by ``from_rows`` from one packed row
-    per entry.  A set built from rows holds only arrays: its ``entries``,
+    A set is built from its entries, or by ``from_rows`` from one row per
+    entry.  A set built from rows holds only arrays: its ``entries``,
     ``histograms`` and ``histogram()`` are ``Histogram`` views built on first
-    use, which ``len``, ``owners``, ``locations`` and the packed forms never need.
+    use, which ``len``, ``owners``, ``locations``, ``rows`` and
+    ``row_classes`` never need.
     """
 
-    # Each entry's row in its map's own key order, for a set built from rows.
-    _key_rows: csr_array | None = None
+    # Whether ``from_rows`` built the set, which then keeps the rows it got.
+    _from_rows = False
 
     def __init__(self, entries: Iterable[tuple[str, Histogram]]):
         entries = tuple(entries)
@@ -112,8 +109,8 @@ class HistogramSet:
         objects.  One vectorized pass checks that and what ``Histogram`` and
         ``__init__`` check: rows non-empty, masses positive and finite, each
         row's ``math.fsum`` within ``MASS_ATOL`` of 1, no column twice in a
-        row, owners unique.  The set keeps ``rows``' arrays and makes them
-        read-only, and packs them at once (``row_classes``).
+        row, owners unique.  The set keeps ``rows`` as its ``rows`` and makes
+        their arrays read-only, and packs a copy at once (``row_classes``).
         """
         owners, locations = tuple(owners), tuple(locations)
         if rows.shape != (len(owners), len(locations)):
@@ -140,7 +137,7 @@ class HistogramSet:
         for array in (rows.data, rows.indices, rows.indptr):
             array.flags.writeable = False
         hset = cls.__new__(cls)
-        hset.__dict__.update(owners=owners, locations=locations, _key_rows=rows, row_classes=(distinct, of_row))
+        hset.__dict__.update(owners=owners, locations=locations, rows=rows, row_classes=(distinct, of_row), _from_rows=True)
         return hset
 
     def __setattr__(self, name, value):
@@ -150,9 +147,9 @@ class HistogramSet:
         """Only what the set was built from: an unpickled set rebuilds its
         caches, so ``rows`` stay read-only, and a set built from rows stays
         without maps."""
-        if self._key_rows is None:
-            return HistogramSet, (self.entries,)
-        return HistogramSet.from_rows, (self.owners, self.locations, self._key_rows)
+        if self._from_rows:
+            return HistogramSet.from_rows, (self.owners, self.locations, self.rows)
+        return HistogramSet, (self.entries,)
 
     def __eq__(self, other):
         if not isinstance(other, HistogramSet):
@@ -168,7 +165,7 @@ class HistogramSet:
     @cached_property
     def entries(self) -> tuple[tuple[str, Histogram], ...]:
         """Each owner with its map, built from the rows of a set built from them."""
-        rows = self._key_rows
+        rows = self.rows
         keys = list(map(self.locations.__getitem__, rows.indices.tolist()))
         masses = rows.data.tolist()
         ptr = rows.indptr.tolist()
@@ -194,19 +191,15 @@ class HistogramSet:
         objects = {id(h): h for h in self.histograms}.values()
         return tuple(dict.fromkeys(chain.from_iterable(h.mass for h in objects)))
 
-    def cells(self) -> tuple[list[int], Iterable[int], Iterable[float] | np.ndarray]:
-        """The set as the lines of its CSV form: each entry's support size,
-        then every entry's location codes (indices into ``locations``) and
-        masses, flat, each entry in its map's key order.  A set built from
-        rows answers from them, without maps, its masses as a float64 array."""
-        rows = self._key_rows
-        if rows is None:
-            hists = self.histograms
-            sizes = [len(h.mass) for h in hists]
-            column = dict(zip(self.locations, range(len(self.locations))))
-            codes = map(column.__getitem__, chain.from_iterable(h.mass for h in hists))
-            return sizes, codes, chain.from_iterable(h.mass.values() for h in hists)
-        return np.diff(rows.indptr).tolist(), rows.indices.tolist(), rows.data
+    @cached_property
+    def rows(self) -> csr_array:
+        """One CSR row per entry over ``locations``, in set order, each row's
+        columns (indices into ``locations``) in its map's key order.  Read-only."""
+        objects, of_object = self._object_rows()
+        rows = objects if objects.shape[0] == len(of_object) else objects[of_object]
+        for array in (rows.data, rows.indices, rows.indptr):
+            array.flags.writeable = False
+        return rows
 
     @cached_property
     def row_classes(self) -> tuple[csr_array, np.ndarray]:
@@ -215,13 +208,23 @@ class HistogramSet:
         ascending, and each entry's row in it.  Each distinct histogram object
         is packed once (``_pack`` then keeps rows of equal maps once).  The
         arrays are shared by every caller and read-only."""
+        objects, of_object = self._object_rows()
+        distinct, of_first = _pack(objects)
+        of_row = of_first[of_object]
+        of_row.flags.writeable = False
+        return distinct, of_row
+
+    def _object_rows(self) -> tuple[csr_array, np.ndarray]:
+        """New CSR rows over ``locations``, one per distinct histogram object
+        in order of first occurrence, each in its map's key order, and each
+        entry's row among them.  Each object's map is read once."""
         hists = self.histograms
         objects = {id(h): h for h in hists}
         position = dict(zip(objects, range(len(objects))))
         of_object = np.fromiter(map(position.__getitem__, map(id, hists)), dtype=np.intp, count=len(hists))
         column = dict(zip(self.locations, range(len(self.locations))))
-        # The index width scipy would pick for the gathered ``rows``, so that
-        # neither its constructor nor the gather copies.
+        # The index width scipy would pick for the rows gathered by entry, so
+        # that neither its constructor nor the gather copies.
         largest = max(sum(len(h.mass) for h in hists), len(column))
         index_dtype = np.int32 if largest < 2**31 else np.int64
         indptr = np.zeros(len(objects) + 1, dtype=index_dtype)
@@ -230,22 +233,7 @@ class HistogramSet:
         locs = chain.from_iterable(h.mass for h in objects.values())
         indices = np.fromiter(map(column.__getitem__, locs), dtype=index_dtype, count=nnz)
         data = np.fromiter(chain.from_iterable(h.mass.values() for h in objects.values()), dtype=np.float64, count=nnz)
-        distinct, of_first = _pack(csr_array((data, indices, indptr), shape=(len(objects), len(column))))
-        of_row = of_first[of_object]
-        of_row.flags.writeable = False
-        return distinct, of_row
-
-    @cached_property
-    def rows(self) -> csr_array:
-        """One CSR row per entry, in set order: ``row_classes`` gathered by
-        each entry's row, or its form itself when no row repeats.  Read-only."""
-        distinct, of_row = self.row_classes
-        if distinct.shape[0] == len(of_row):
-            return distinct
-        rows = distinct[of_row]
-        for array in (rows.data, rows.indices, rows.indptr):
-            array.flags.writeable = False
-        return rows
+        return csr_array((data, indices, indptr), shape=(len(objects), len(column))), of_object
 
 
 def _in_first_use_order(columns: np.ndarray, width: int) -> bool:

@@ -8,9 +8,10 @@ File formats:
 * histogram set: headered CSV ``owner,location,probability``; an owner's
   rows may be split into runs, merged in file order; each owner's
   probabilities must sum to 1 within 1e-6 on load (renormalized exactly when
-  slightly off); a set read holds packed rows and builds its maps on first use.
-  A plain file is tokenized as bytes; a file with quotes, blank lines or lone
-  CRs, or one that fails, is read row by row (3x slower), naming its error;
+  slightly off); a set read holds its rows and builds its maps on first use.
+  A plain file is tokenized as bytes; a file with quotes, blank lines, lone
+  CRs or split owners, or one that fails, is read row by row (3x slower),
+  naming its error;
 * ground truth: headered CSV ``left_owner,right_owner``, no owner repeating;
 * match result: headered CSV ``left_owner,right_owner,weight`` plus a JSON
   summary ``{algorithm, cardinality, total_weight, runtime_ms}``;
@@ -174,7 +175,10 @@ def _read_plain(path: str | Path) -> HistogramSet:
             carry += block[cut:]
         if carry:
             _tokenize(carry + b"\n", owners, locations, read)
-    return _histogram_set(tuple(owners.texts), tuple(locations.texts), *read)
+    owner, columns, masses = (np.frombuffer(buffer, dtype=buffer.typecode) for buffer in read)
+    if np.any(owner[1:] < owner[:-1]):
+        raise _NotPlain  # an owner's rows are split into runs
+    return _histogram_set(tuple(owners.texts), tuple(locations.texts), owner, columns, masses)
 
 
 def _tokenize(lines: bytes, owners: _FieldCodes, locations: _FieldCodes, read: tuple[array, array, array]) -> None:
@@ -232,25 +236,12 @@ def _read_row_by_row(path: str | Path) -> HistogramSet:
 
 
 def _histogram_set(owners, locations, of_owner, columns, masses) -> HistogramSet:
-    """The set of the rows read: each owner's rows in file order, rows off 1
-    by at most ``HISTOGRAM_SUM_ATOL`` renormalized."""
-    owner = np.frombuffer(of_owner, dtype=np.int32)
-    indices = np.frombuffer(columns, dtype=np.int32)
-    data = np.frombuffer(masses, dtype=np.float64)
-    if np.any(owner[1:] < owner[:-1]):
-        # An owner's rows are split: gather them, and code the locations in
-        # the order the gathered rows first use them.
-        order = np.argsort(owner, kind="stable")
-        data = data[order]
-        _, first = np.unique(indices[order], return_index=True)
-        by_use = np.argsort(first)
-        code = np.empty(len(locations), dtype=np.int32)
-        code[by_use] = np.arange(len(locations), dtype=np.int32)
-        indices = code[indices[order]]
-        locations = tuple(map(locations.__getitem__, by_use.tolist()))
-    indptr = np.zeros(len(owners) + 1, dtype=np.int32 if data.size < 2**31 else np.int64)
-    np.cumsum(np.bincount(owner, minlength=len(owners)), out=indptr[1:])
-    rows = csr_array((data, indices, indptr), shape=(len(owners), len(locations)))
+    """The set of the rows read, each owner's in one run in file order (int32
+    owner and location codes, writable float64 masses), rows off 1 by at most
+    ``HISTOGRAM_SUM_ATOL`` renormalized."""
+    indptr = np.zeros(len(owners) + 1, dtype=np.int32 if masses.size < 2**31 else np.int64)
+    np.cumsum(np.bincount(of_owner, minlength=len(owners)), out=indptr[1:])
+    rows = csr_array((masses, columns, indptr), shape=(len(owners), len(locations)))
     for i, total in row_sums_off(rows, MASS_ATOL):
         if abs(total - 1.0) > HISTOGRAM_SUM_ATOL:
             raise ValueError(f"probabilities for owner {owners[i]!r} sum to {total!r}")
@@ -259,15 +250,15 @@ def _histogram_set(owners, locations, of_owner, columns, masses) -> HistogramSet
 
 
 def write_histogram_set(hset: HistogramSet, path: str | Path) -> None:
-    """The bytes ``csv.writer`` writes for the rows ``owner, location, repr(p)``,
-    with each distinct owner and location quoted once, by ``csv.writer``, and,
-    for a set built from rows, each distinct mass formatted once."""
-    sizes, codes, masses = hset.cells()
+    """The bytes ``csv.writer`` writes for the rows ``owner, location, repr(p)``
+    of ``hset.rows``, with each distinct owner and location quoted once, by
+    ``csv.writer``, and each distinct mass formatted once."""
+    rows = hset.rows
     location_fields = _csv_fields(hset.locations)
-    owner_fields = chain.from_iterable(map(repeat, _csv_fields(hset.owners), sizes))
+    owner_fields = chain.from_iterable(map(repeat, _csv_fields(hset.owners), np.diff(rows.indptr).tolist()))
     # A float64 array holds floats only, so equal masses have equal reprs.
-    mass_fields = map(_Reprs().__getitem__, masses.tolist()) if isinstance(masses, np.ndarray) else map(repr, masses)
-    fields = zip(owner_fields, repeat(","), map(location_fields.__getitem__, codes), repeat(","), mass_fields, repeat("\r\n"))
+    mass_fields = map(_Reprs().__getitem__, rows.data.tolist())
+    fields = zip(owner_fields, repeat(","), map(location_fields.__getitem__, rows.indices.tolist()), repeat(","), mass_fields, repeat("\r\n"))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(HISTOGRAM_HEADER)
         fh.writelines(map("".join, fields))

@@ -80,9 +80,6 @@ class MatchResult:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def as_mapping(self) -> dict[int, int]:
-        return {i: j for i, j, _ in self.pairs}
-
 
 class BipartiteInstance:
     """Two histogram sets and their dense, distance-oriented weight matrix:
@@ -189,9 +186,8 @@ def match_min_weight(instance: BipartiteInstance) -> MatchResult:
     assignment is optimal for the exact matrix W: the mixed matrix is <= W
     entry by entry, so its optimum is at most W's, and this assignment costs
     the same under both.  After ``CERTIFIED_ROUNDS`` assignments it solves W.
-    The result depends on the inputs alone: a matrix W already computed only
-    supplies the same exact values.  Where assignments tie exactly, it may
-    return another optimum than the dense path, with the same total.
+    Where assignments tie exactly, it may return another optimum than the
+    dense path, with the same total.
     """
     n, m = instance.n_left, instance.n_right
     if n > m:
@@ -211,19 +207,14 @@ def _certified_min_weight(instance: BipartiteInstance) -> MatchResult | None:
     """A1 by the certified loop of ``match_min_weight``; None after
     ``CERTIFIED_ROUNDS`` assignments without a certificate."""
     divergence = PairDivergence(instance.left, instance.right)
-    dense = instance.__dict__.get("weights")
-
-    def exact(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return divergence.weights(i, j) if dense is None else dense[i, j]
-
     w = divergence.lower_bounds()
     n, m = w.shape
     rows = np.arange(n)
     first = w.argmin(axis=1)
-    at_first = exact(rows, first)
+    at_first = divergence.weights(rows, first)
     w[rows, first] = at_first
     i, j = np.nonzero(w < at_first[:, None])
-    w[i, j] = exact(i, j)
+    w[i, j] = divergence.weights(i, j)
     known = np.union1d(rows * m + first, i * m + j)
     for _ in range(CERTIFIED_ROUNDS):
         r, c = _linear_sum_assignment()(w)
@@ -231,7 +222,7 @@ def _certified_min_weight(instance: BipartiteInstance) -> MatchResult | None:
         if not landed.any():
             return _result(w, list(zip(r, c)), "A1")
         i, j = r[landed], c[landed]
-        at_landed = exact(i, j)
+        at_landed = divergence.weights(i, j)
         # Row by row, so that no temporary spans more than one row of ``w``.
         below = [k * m + np.flatnonzero(w[k] <= w[k, l]) for k, l in zip(i, j)]
         new = np.union1d(np.concatenate(below), _near_tight(w, c, float((at_landed - w[i, j]).max())))
@@ -239,7 +230,7 @@ def _certified_min_weight(instance: BipartiteInstance) -> MatchResult | None:
         known = np.union1d(known, i * m + j)
         new = np.setdiff1d(new, known, assume_unique=True)
         i, j = np.divmod(new, m)
-        w[i, j] = exact(i, j)
+        w[i, j] = divergence.weights(i, j)
         known = np.union1d(known, new)
     return None
 

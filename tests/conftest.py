@@ -25,8 +25,8 @@ def random_histogram(rng, alphabet_size, max_support=4, prefix="L"):
             masses = rng.dirichlet(np.ones(size))
             if (masses > 0).all():
                 break
-    return Histogram.from_mass(
-        {f"{prefix}{int(l)}": float(p) for l, p in zip(locs, masses)}
+    return Histogram(
+        mass={f"{prefix}{int(l)}": float(p) for l, p in zip(locs, masses)}
     )
 
 
@@ -43,10 +43,10 @@ def instance_from_matrix(matrix, metric=MetricKind.PROPOSED):
     w = np.asarray(matrix, dtype=float)
     n, m = w.shape
     left = HistogramSet(
-        tuple((f"l{i}", Histogram.from_mass({f"X{i}": 1.0})) for i in range(n))
+        tuple((f"l{i}", Histogram(mass={f"X{i}": 1.0})) for i in range(n))
     )
     right = HistogramSet(
-        tuple((f"r{j}", Histogram.from_mass({f"Y{j}": 1.0})) for j in range(m))
+        tuple((f"r{j}", Histogram(mass={f"Y{j}": 1.0})) for j in range(m))
     )
     return BipartiteInstance(left=left, right=right, metric=metric, weights=w)
 

@@ -313,7 +313,7 @@ def test_criterion_9_performance():
     def draw(support, base, t=200):
         counts = rng.multinomial(t, base)
         mass = {ids[int(s)]: c / t for s, c in zip(support, counts) if c > 0}
-        return Histogram.from_mass(mass, sample_count=t)
+        return Histogram(mass=dict(mass), sample_count=t)
 
     users = [sparse_user() for _ in range(1000)]
     left = HistogramSet(

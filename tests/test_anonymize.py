@@ -21,7 +21,9 @@ from histmatch.metrics import MetricKind, weight_l1, weight_matrix
 from histmatch.synth import OverlapSpec, PopulationSpec, generate_pair, sample_population
 from tests.conftest import random_histogram_set
 
-H = Histogram.from_mass
+
+def H(mass):
+    return Histogram(mass=dict(mass))
 
 
 def hist_set(masses):
@@ -44,7 +46,7 @@ def _oracle_centroid(histograms: Sequence[Histogram]) -> Histogram:
         for loc, p in h.mass.items():
             total[loc] += p
     inv = 1.0 / len(histograms)
-    return Histogram.from_mass({loc: v * inv for loc, v in total.items()})
+    return Histogram(mass={loc: v * inv for loc, v in total.items()})
 
 
 def _oracle_microaggregate(histograms: HistogramSet, k: int) -> tuple[ClusterPartition, HistogramSet]:
@@ -305,7 +307,7 @@ class TestKAnonymity:
             entries = list(released.entries)
             owner, hist = entries[0]
             loc, p = next(iter(hist.mass.items()))
-            entries[0] = (owner, Histogram.from_mass({**hist.mass, loc: math.nextafter(p, 2.0)}))
+            entries[0] = (owner, Histogram(mass={**hist.mass, loc: math.nextafter(p, 2.0)}))
             moved = HistogramSet(tuple(entries))
             for j in range(1, 2 * k + 1):
                 assert verify_k_anonymity(moved, j) == _oracle_verify_k_anonymity(moved, j) == (j == 1)

@@ -5,6 +5,7 @@ import math
 import pickle
 import re
 import tracemalloc
+from itertools import groupby
 from pathlib import Path
 from typing import Iterator
 
@@ -23,7 +24,9 @@ from histmatch.metrics import MetricKind, weight_matrix
 from histmatch.synth import OverlapSpec, PopulationSpec, generate_pair, sample_population
 from tests.conftest import random_histogram_set
 
-H = Histogram.from_mass
+
+def H(mass):
+    return Histogram(mass=dict(mass))
 
 
 class TestEventLog:
@@ -90,6 +93,18 @@ class TestHistogramSet:
         assert loaded.owners == hset.owners
         for a, b in zip(loaded.histograms, hset.histograms):
             assert a.mass == b.mass
+        # a synth set's maps were built from t samples; the read-back's from none
+        left, _, _ = generate_pair(sample_population(PopulationSpec(20, 50, 1.0, 7)), 30, 30, OverlapSpec.full(20), 7)
+        hio.write_histogram_set(left, path)
+        assert hio.read_histogram_set(path) == left
+
+    def test_numpy_masses_write_as_numbers(self, tmp_path):
+        # under numpy 2 the repr of a numpy float is not a number a reader parses
+        hset = HistogramSet((("u", H({"a": np.float64(0.25), "b": np.float64(0.75)})),))
+        path = tmp_path / "h.csv"
+        hio.write_histogram_set(hset, path)
+        assert path.read_text().splitlines()[1:] == ["u,a,0.25", "u,b,0.75"]
+        assert hio.read_histogram_set(path) == hset
 
     def test_release_roundtrip_shares_rows_by_content(self, tmp_path):
         # Read back, every owner has a map of its own, yet equal maps still
@@ -104,6 +119,11 @@ class TestHistogramSet:
         assert len({id(h.mass) for h in loaded.histograms}) == len(loaded)
         assert loaded.row_classes[0].shape[0] == partition.g < len(loaded)
         assert verify_k_anonymity(loaded, k) and not verify_k_anonymity(loaded, 2 * k)
+        for name in ("data", "indices", "indptr"):
+            assert getattr(loaded.rows, name).tobytes() == getattr(released.rows, name).tobytes()
+        again = tmp_path / "again.csv"
+        hio.write_histogram_set(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
         for metric in MetricKind:
             assert weight_matrix(loaded, right, metric).tobytes() == weight_matrix(released, right, metric).tobytes()
             assert weight_matrix(right, loaded, metric).tobytes() == weight_matrix(right, released, metric).tobytes()
@@ -340,8 +360,8 @@ def _outcome(read, path):
 def _is_plain(path) -> bool:
     """Whether the byte tokenizer reads ``path`` itself: UTF-8, no quote, NUL
     or lone CR, the exact header, then lines of three comma-separated fields,
-    none longer than the csv field limit, each mass ASCII.  The end of the
-    file ends a line."""
+    none longer than the csv field limit, each mass ASCII, each owner's lines
+    in one run.  The end of the file ends a line."""
     data = path.read_bytes()
     data += b"" if data.endswith(b"\n") else b"\n"
     if b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n"):
@@ -352,10 +372,12 @@ def _is_plain(path) -> bool:
         return False
     header, *lines = data[:-1].split(b"\n")
     rows = [line.split(b",") for line in lines]
+    runs = [owner for owner, _ in groupby(row[0].decode().strip() for row in rows)]
     return (
         header.removesuffix(b"\r") == b"owner,location,probability"
         and all(len(row) == 3 and row[2].isascii() for row in rows)
         and all(len(field) <= csv.field_size_limit() for row in rows for field in row)
+        and len(runs) == len(set(runs))
     )
 
 

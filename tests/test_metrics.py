@@ -23,7 +23,10 @@ from histmatch.metrics import (
 from histmatch.synth import OverlapSpec, PopulationSpec, generate_pair, sample_population
 from tests.conftest import random_histogram, random_histogram_set
 
-H = Histogram.from_mass
+
+def H(mass):
+    return Histogram(mass=dict(mass))
+
 
 POINT_A = H({"A": 1.0})
 POINT_B = H({"B": 1.0})
