@@ -6,7 +6,7 @@ exactly identical to at least k-1 others.  Cluster quality is scored by the
 l1 distortion between members and their centroid, normalized by the distortion
 of collapsing everything to the grand centroid.
 
-Both steps run on the set's per-entry CSR rows (``HistogramSet.rows``), and
+Both steps run on the set's per-entry packed rows (``HistogramSet.rows``), and
 every l1 distance that decides a cluster or enters the loss equals
 ``weight_l1``'s, which ``math.fsum`` rounds exactly.
 """
@@ -19,9 +19,8 @@ from itertools import chain, repeat
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse import csr_array
 
-from .core import Histogram, HistogramSet
+from .core import Histogram, HistogramSet, PackedRows
 from .errors import InvalidKError, PartitionCoverageError
 from .metrics import weight_l1
 
@@ -61,7 +60,7 @@ class ClusterPartition:
         return set(self.cluster_of)
 
 
-def _mean_row(rows: csr_array, live: np.ndarray) -> np.ndarray:
+def _mean_row(rows: PackedRows, live: np.ndarray) -> np.ndarray:
     """Dense centroid of the live rows: each column summed in row order from
     0.0, then scaled by 1 / count, as a walk over the rows' maps adds them."""
     entries = np.repeat(live, np.diff(rows.indptr))
@@ -91,7 +90,7 @@ def _centroids(histograms: HistogramSet, clusters: list[tuple[int, ...]]) -> tup
     return tuple(out)
 
 
-def _l1_to(rows: csr_array, v: np.ndarray) -> tuple[np.ndarray, float]:
+def _l1_to(rows: PackedRows, v: np.ndarray) -> tuple[np.ndarray, float]:
     """l1 distance of every row to the dense vector ``v`` in O(nnz + M), and a
     bound on its distance from ``weight_l1``'s value.
 
@@ -139,7 +138,7 @@ def microaggregate(histograms: HistogramSet, k: int) -> tuple[ClusterPartition, 
         top = remaining[d >= d.max() - 2.0 * tol]
         anchor = int(top[0])
         if top.size > 1:
-            sub = rows[top]
+            sub = rows.take(top)
             exact = _exact_l1(sub, center[sub.indices], repeat(_exact_sum(center.tolist())))
             anchor = int(top[exact.index(max(exact))])
         alive[anchor] = False
@@ -179,7 +178,7 @@ def _exact_sum(values: list[float]) -> list[float]:
     return parts
 
 
-def _exact_l1(rows: csr_array, at: np.ndarray, totals: Iterable[list[float]]) -> list[float]:
+def _exact_l1(rows: PackedRows, at: np.ndarray, totals: Iterable[list[float]]) -> list[float]:
     """``weight_l1`` of each row against its center, bit for bit, in O(nnz).
 
     ``at`` holds the center's mass at each stored entry of ``rows`` and

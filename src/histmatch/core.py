@@ -2,8 +2,8 @@
 
 Histograms are stored sparsely (location id -> probability); the location
 alphabet is implicit and absent ids carry probability zero.  Bulk kernels read
-a histogram set as CSR rows over its locations, packed once per set into one
-row per distinct map (``HistogramSet.row_classes``).  All types are immutable
+a histogram set as ``PackedRows`` over its locations, packed once per set into
+one row per distinct map (``HistogramSet.row_classes``).  All types are immutable
 after construction and all operations are pure functions.
 """
 from __future__ import annotations
@@ -16,7 +16,6 @@ from itertools import chain, compress
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .errors import (
     EmptyStringError,
@@ -50,6 +49,73 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.users)
+
+
+@dataclass(frozen=True, eq=False)
+class PackedRows:
+    """Rows of ``width`` columns packed as in CSR: row i stores the masses
+    ``data[indptr[i]:indptr[i + 1]]`` at the columns ``indices`` there.  The
+    arrays are the ones given, made read-only."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    width: int
+
+    def __post_init__(self):
+        ptr = self.indptr
+        if not (ptr.size and ptr[0] == 0 and np.all(ptr[1:] >= ptr[:-1]) and ptr[-1] == self.data.size == self.indices.size):
+            raise ValueError("indptr must start at 0, never decrease and end at the number of entries")
+        if self.indices.size and not (self.indices.min() >= 0 and self.indices.max() < self.width):
+            raise ValueError(f"column indices must lie in [0, {self.width})")
+        for array in (ptr, self.indices, self.data):
+            array.flags.writeable = False
+
+    def __reduce__(self):
+        return PackedRows, (self.indptr, self.indices, self.data, self.width)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.indptr.size - 1, self.width
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def row_of(self) -> np.ndarray:
+        """The row of each entry, in the narrowest unsigned type."""
+        return np.repeat(np.arange(self.shape[0], dtype=np.min_scalar_type(self.shape[0] - 1)), np.diff(self.indptr))
+
+    def take(self, rows: np.ndarray) -> PackedRows:
+        """The rows ``rows``, in that order, in new arrays."""
+        counts = np.diff(self.indptr)[rows]
+        indptr = np.zeros(len(rows) + 1, dtype=self.indptr.dtype)
+        np.cumsum(counts, out=indptr[1:])
+        at = np.arange(indptr[-1]) + np.repeat(self.indptr[rows] - indptr[:-1], counts)
+        return PackedRows(indptr, self.indices[at], self.data[at], self.width)
+
+    def sorted(self) -> PackedRows:
+        """The rows with each one's entries in ascending column, in new
+        arrays; a column twice in one row is a ``ValueError``."""
+        row = self.row_of()
+        new_row = row[1:] != row[:-1]
+        order = slice(None)
+        if not np.all((self.indices[1:] > self.indices[:-1]) | new_row):
+            # Stable radix sorts of narrow keys, by column and then by row.
+            order = np.argsort(self.indices.astype(np.min_scalar_type(self.width - 1)), kind="stable")
+            order = order[np.argsort(row[order], kind="stable")]
+        indices = np.array(self.indices[order])
+        if np.any((indices[1:] == indices[:-1]) & ~new_row):
+            raise ValueError("a location appears twice in one histogram")
+        return PackedRows(self.indptr, indices, np.array(self.data[order]), self.width)
+
+    def columns(self) -> PackedRows:
+        """The transpose, each column's rows ascending as in scipy's ``tocsc``;
+        a stable argsort of 16-bit columns is a radix sort."""
+        order = np.argsort(self.indices.astype(np.min_scalar_type(self.width - 1)), kind="stable")
+        indptr = np.zeros(self.width + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.indices, minlength=self.width), out=indptr[1:])
+        return PackedRows(indptr, self.row_of()[order], self.data[order], self.shape[0])
 
 
 @dataclass(frozen=True)
@@ -100,7 +166,7 @@ class HistogramSet:
         self.__dict__.update(entries=entries, owners=owners)
 
     @classmethod
-    def from_rows(cls, owners: Iterable[str], locations: Iterable[str], rows: csr_array) -> "HistogramSet":
+    def from_rows(cls, owners: Iterable[str], locations: Iterable[str], rows: PackedRows) -> "HistogramSet":
         """The set whose entry i maps each column j of row i of ``rows`` to
         ``locations[j]``, under owner ``owners[i]``, in the row's stored order.
 
@@ -109,8 +175,8 @@ class HistogramSet:
         objects.  One vectorized pass checks that and what ``Histogram`` and
         ``__init__`` check: rows non-empty, masses positive and finite, each
         row's ``math.fsum`` within ``MASS_ATOL`` of 1, no column twice in a
-        row, owners unique.  The set keeps ``rows`` as its ``rows`` and makes
-        their arrays read-only, and packs a copy at once (``row_classes``).
+        row, owners unique.  The set keeps ``rows`` as its ``rows`` and packs
+        a copy at once (``row_classes``).
         """
         owners, locations = tuple(owners), tuple(locations)
         if rows.shape != (len(owners), len(locations)):
@@ -119,23 +185,15 @@ class HistogramSet:
             raise ValueError("owner ids must be unique within a histogram set")
         if len(set(locations)) != len(locations):
             raise ValueError("locations must be distinct")
-        indices, data = rows.indices, rows.data
         if not np.all(np.diff(rows.indptr) > 0):
             raise ValueError("histogram must have at least one entry")
-        if data.size and not (data.min() > 0.0 and data.max() < math.inf):
+        if rows.nnz and not (rows.data.min() > 0.0 and rows.data.max() < math.inf):
             raise ValueError("histogram entries must be strictly positive and finite")
-        if not _in_first_use_order(indices, len(locations)):
+        if not _in_first_use_order(rows.indices, len(locations)):
             raise ValueError("locations are not listed in the order the rows first use them")
-        for _, total in row_sums_off(rows, MASS_ATOL)[:1]:
+        for _, total in row_sums_off(rows.indptr, rows.data, MASS_ATOL)[:1]:
             raise ValueError(f"histogram mass sums to {total!r}, not 1")
-        distinct, of_row = _pack(rows.copy())
-        ptr, columns = distinct.indptr, distinct.indices
-        repeats = columns[1:] == columns[:-1]
-        repeats[ptr[1:-1] - 1] = False  # a row's first column follows the previous row's last
-        if repeats.any():
-            raise ValueError("a location appears twice in one histogram")
-        for array in (rows.data, rows.indices, rows.indptr):
-            array.flags.writeable = False
+        distinct, of_row = _pack(rows)
         hset = cls.__new__(cls)
         hset.__dict__.update(owners=owners, locations=locations, rows=rows, row_classes=(distinct, of_row), _from_rows=True)
         return hset
@@ -192,18 +250,15 @@ class HistogramSet:
         return tuple(dict.fromkeys(chain.from_iterable(h.mass for h in objects)))
 
     @cached_property
-    def rows(self) -> csr_array:
-        """One CSR row per entry over ``locations``, in set order, each row's
+    def rows(self) -> PackedRows:
+        """One row per entry over ``locations``, in set order, each row's
         columns (indices into ``locations``) in its map's key order.  Read-only."""
         objects, of_object = self._object_rows()
-        rows = objects if objects.shape[0] == len(of_object) else objects[of_object]
-        for array in (rows.data, rows.indices, rows.indptr):
-            array.flags.writeable = False
-        return rows
+        return objects if objects.shape[0] == len(of_object) else objects.take(of_object)
 
     @cached_property
-    def row_classes(self) -> tuple[csr_array, np.ndarray]:
-        """The set's packed form: one CSR row per distinct map over
+    def row_classes(self) -> tuple[PackedRows, np.ndarray]:
+        """The set's packed form: one row per distinct map over
         ``locations``, in order of first occurrence with each row's columns
         ascending, and each entry's row in it.  Each distinct histogram object
         is packed once (``_pack`` then keeps rows of equal maps once).  The
@@ -214,8 +269,8 @@ class HistogramSet:
         of_row.flags.writeable = False
         return distinct, of_row
 
-    def _object_rows(self) -> tuple[csr_array, np.ndarray]:
-        """New CSR rows over ``locations``, one per distinct histogram object
+    def _object_rows(self) -> tuple[PackedRows, np.ndarray]:
+        """New rows over ``locations``, one per distinct histogram object
         in order of first occurrence, each in its map's key order, and each
         entry's row among them.  Each object's map is read once."""
         hists = self.histograms
@@ -223,17 +278,14 @@ class HistogramSet:
         position = dict(zip(objects, range(len(objects))))
         of_object = np.fromiter(map(position.__getitem__, map(id, hists)), dtype=np.intp, count=len(hists))
         column = dict(zip(self.locations, range(len(self.locations))))
-        # The index width scipy would pick for the rows gathered by entry, so
-        # that neither its constructor nor the gather copies.
-        largest = max(sum(len(h.mass) for h in hists), len(column))
-        index_dtype = np.int32 if largest < 2**31 else np.int64
-        indptr = np.zeros(len(objects) + 1, dtype=index_dtype)
+        # int32 offsets, as the CSV reader's, while the rows gathered by entry fit them.
+        indptr = np.zeros(len(objects) + 1, dtype=np.int32 if sum(len(h.mass) for h in hists) < 2**31 else np.int64)
         np.cumsum([len(h.mass) for h in objects.values()], out=indptr[1:])
         nnz = int(indptr[-1])
-        locs = chain.from_iterable(h.mass for h in objects.values())
-        indices = np.fromiter(map(column.__getitem__, locs), dtype=index_dtype, count=nnz)
+        locs = map(column.__getitem__, chain.from_iterable(h.mass for h in objects.values()))
+        indices = np.fromiter(locs, dtype=np.int32, count=nnz)
         data = np.fromiter(chain.from_iterable(h.mass.values() for h in objects.values()), dtype=np.float64, count=nnz)
-        return csr_array((data, indices, indptr), shape=(len(objects), len(column))), of_object
+        return PackedRows(indptr, indices, data, len(column)), of_object
 
 
 def _in_first_use_order(columns: np.ndarray, width: int) -> bool:
@@ -247,12 +299,12 @@ def _in_first_use_order(columns: np.ndarray, width: int) -> bool:
     return columns.min() >= 0 and largest[0] == 0 and largest[-1] == steps == width - 1
 
 
-def _pack(rows: csr_array) -> tuple[csr_array, np.ndarray]:
-    """``rows`` sorted in place, each row's columns ascending, then one row
-    per distinct row, in order of first occurrence, and each row's index among
-    them.  With ascending columns and positive, finite masses, two rows' bytes
-    are equal exactly when their maps are.  The arrays returned are read-only."""
-    rows.sort_indices()
+def _pack(rows: PackedRows) -> tuple[PackedRows, np.ndarray]:
+    """``rows`` with each row's columns ascending, one row per distinct row,
+    in order of first occurrence, and each row's index among them.  With
+    ascending columns and positive, finite masses, two rows' bytes are equal
+    exactly when their maps are.  The arrays returned are read-only."""
+    rows = rows.sorted()
     ptr, indices, data = rows.indptr.tolist(), rows.indices, rows.data
     # Each row's first row of equal bytes, looked up by the hash of its bytes
     # and compared with the rows of that hash; no row's bytes are kept.
@@ -267,23 +319,22 @@ def _pack(rows: csr_array) -> tuple[csr_array, np.ndarray]:
         if first == i:
             bucket.append(i)
     kept = np.flatnonzero(of_first == np.arange(rows.shape[0]))
-    distinct = rows if kept.size == rows.shape[0] else rows[kept]
+    distinct = rows if kept.size == rows.shape[0] else rows.take(kept)
     of_row = np.searchsorted(kept, of_first)
-    for array in (distinct.data, distinct.indices, distinct.indptr, of_row):
-        array.flags.writeable = False
+    of_row.flags.writeable = False
     return distinct, of_row
 
 
-def row_sums_off(rows: csr_array, atol: float) -> list[tuple[int, float]]:
-    """Each row whose masses' ``math.fsum`` is farther than ``atol`` from 1,
-    with that sum, in row order.  Rows must be non-empty.
+def row_sums_off(ptr: np.ndarray, data: np.ndarray, atol: float) -> list[tuple[int, float]]:
+    """Each row of the packed masses ``data``, row i at ``ptr[i]:ptr[i + 1]``,
+    whose ``math.fsum`` is farther than ``atol`` from 1, with that sum, in row
+    order.  Rows must be non-empty.
 
     The float64 sum of a row's n positive masses lies within about n 2^-53
     times itself of the exact sum, so a row is summed exactly only when its
     rounded sum misses 1 by more than ``atol`` less twice that margin.
     """
-    ptr, data = rows.indptr, rows.data
-    sums = np.add.reduceat(data, ptr[:-1]) if data.size else np.zeros(rows.shape[0])
+    sums = np.add.reduceat(data, ptr[:-1]) if data.size else np.zeros(len(ptr) - 1)
     margin = np.diff(ptr) * np.finfo(np.float64).eps * sums
     near = np.flatnonzero(~(np.abs(sums - 1.0) + margin <= atol)).tolist()
     totals = (math.fsum(data[ptr[i] : ptr[i + 1]].tolist()) for i in near)
@@ -309,29 +360,17 @@ class GroundTruth:
         return {v: k for k, v in self.mapping.items()}
 
 
-def union_columns(first: HistogramSet, second: HistogramSet) -> tuple[np.ndarray, int]:
-    """The column of each of ``second``'s locations in the union of both
-    sets' locations in first-use order (``first``'s locations, then the ones
-    only ``second`` uses), and the union's width."""
+def union_rows(first: HistogramSet, second: HistogramSet) -> tuple[PackedRows, PackedRows]:
+    """Both sets' distinct rows (``HistogramSet.row_classes``) over the union
+    of their locations, ``first``'s and then the ones only ``second`` uses:
+    ``first``'s own arrays, and ``second``'s ``data`` and ``indptr`` with each
+    column remapped, so its rows need not ascend in the union."""
     column = dict(zip(first.locations, range(len(first.locations))))
     for loc in second.locations:
         column.setdefault(loc, len(column))
     remap = np.fromiter(map(column.__getitem__, second.locations), dtype=np.intp, count=len(second.locations))
-    return remap, len(column)
-
-
-def union_rows(first: HistogramSet, second: HistogramSet) -> tuple[csr_array, csr_array]:
-    """Both sets' distinct rows (``HistogramSet.row_classes``) over the union
-    of their locations (``union_columns``).
-
-    ``first``'s rows are its own arrays under the wider shape.  ``second``'s
-    share its ``data`` and ``indptr`` and remap each column index, so each row
-    keeps its set's order of columns, which need not ascend in the union.
-    """
-    remap, width = union_columns(first, second)
     a, b = first.row_classes[0], second.row_classes[0]
-    widened = csr_array((a.data, a.indices, a.indptr), shape=(a.shape[0], width))
-    return widened, csr_array((b.data, remap.astype(b.indices.dtype)[b.indices], b.indptr), shape=(b.shape[0], width))
+    return PackedRows(a.indptr, a.indices, a.data, len(column)), PackedRows(b.indptr, remap.astype(b.indices.dtype)[b.indices], b.data, len(column))
 
 
 def build_histogram(events: Iterable[str]) -> Histogram:

@@ -29,13 +29,13 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .core import (
     MASS_ATOL,
     EventLog,
     GroundTruth,
     HistogramSet,
+    PackedRows,
     row_sums_off,
 )
 from .errors import FileFormatError
@@ -241,12 +241,11 @@ def _histogram_set(owners, locations, of_owner, columns, masses) -> HistogramSet
     ``HISTOGRAM_SUM_ATOL`` renormalized."""
     indptr = np.zeros(len(owners) + 1, dtype=np.int32 if masses.size < 2**31 else np.int64)
     np.cumsum(np.bincount(of_owner, minlength=len(owners)), out=indptr[1:])
-    rows = csr_array((masses, columns, indptr), shape=(len(owners), len(locations)))
-    for i, total in row_sums_off(rows, MASS_ATOL):
+    for i, total in row_sums_off(indptr, masses, MASS_ATOL):
         if abs(total - 1.0) > HISTOGRAM_SUM_ATOL:
             raise ValueError(f"probabilities for owner {owners[i]!r} sum to {total!r}")
-        rows.data[rows.indptr[i] : rows.indptr[i + 1]] /= total
-    return HistogramSet.from_rows(owners, locations, rows)
+        masses[indptr[i] : indptr[i + 1]] /= total
+    return HistogramSet.from_rows(owners, locations, PackedRows(indptr, columns, masses, len(locations)))
 
 
 def write_histogram_set(hset: HistogramSet, path: str | Path) -> None:

@@ -10,17 +10,17 @@ plain ``{location: probability}`` mappings.  ``weight_matrix`` reads the two
 sets' packed rows over the union of their locations
 (:func:`~histmatch.core.union_rows`) and evaluates a whole set-against-set
 weight matrix in time proportional to the co-occurring support instead of
-N * N' * M: the dot and cosine weights as one sparse product of the packed
-rows, the divergence and l1 weights by a walk over the columns both sets use.
-That walk runs over blocks of left rows and scatters each column's terms
-through flat indices.  Each weight is computed once per pair of distinct rows
+N * N' * M: the dot and cosine weights as one scipy sparse product, the
+divergence and l1 weights by a walk over the columns both sets use.  That
+walk runs over blocks of left rows and scatters each column's terms through
+flat indices.  Each weight is computed once per pair of distinct rows
 (:attr:`~histmatch.core.HistogramSet.row_classes`), so a k-anonymized release
 costs one row per cluster.
 
 :class:`PairDivergence` serves a solver that needs few exact divergence
-weights: a proven lower bound of every pair's weight from one product of the
-rows' square roots, and the exact weight of chosen pairs, bit for bit as
-``weight_matrix`` computes it.
+weights: a proven lower bound of every pair's weight from a dense float32
+product of the rows' square roots, and the exact weight of chosen pairs, bit
+for bit as ``weight_matrix`` computes it.
 """
 from __future__ import annotations
 
@@ -29,9 +29,8 @@ from enum import Enum
 from typing import Mapping
 
 import numpy as np
-from scipy.sparse import csr_array
 
-from .core import Histogram, HistogramSet, union_columns, union_rows
+from .core import Histogram, HistogramSet, PackedRows, union_rows
 
 LN2 = math.log(2.0)
 
@@ -166,7 +165,7 @@ def pair_distance(kind: MetricKind, p, q) -> float:
     return 1.0 - value if kind.is_similarity else value
 
 
-def _row_fsums(rows: csr_array, values: np.ndarray) -> np.ndarray:
+def _row_fsums(rows: PackedRows, values: np.ndarray) -> np.ndarray:
     """``math.fsum`` of each row's slice of ``values``, one entry per stored
     element of ``rows``; fsum rounds exactly, so the entry order is immaterial."""
     ptr = rows.indptr.tolist()
@@ -184,7 +183,11 @@ def weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -
     # its two rows alone, so it is computed once per pair of distinct rows.
     lrows, rrows = union_rows(left, right)
     if metric in (MetricKind.COSINE, MetricKind.DOT):
-        dots = (lrows @ rrows.T).toarray()
+        # scipy's product defines these weights bit for bit, so it is loaded here only.
+        from scipy.sparse import csr_array
+
+        dots = (csr_array((lrows.data, lrows.indices, lrows.indptr), shape=lrows.shape)
+                @ csr_array((rrows.data, rrows.indices, rrows.indptr), shape=rrows.shape).T).toarray()
         if metric is MetricKind.COSINE:
             lnorm = np.sqrt(_row_fsums(lrows, lrows.data * lrows.data))
             rnorm = np.sqrt(_row_fsums(rrows, rrows.data * rrows.data))
@@ -210,7 +213,7 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _subtract_shared_columns(w: np.ndarray, lrows: csr_array, rrows: csr_array, metric: MetricKind) -> None:
+def _subtract_shared_columns(w: np.ndarray, lrows: PackedRows, rrows: PackedRows, metric: MetricKind) -> None:
     """Take each column's divergence or l1 terms off ``w`` for the pairs of
     rows that both have mass there, column by column in ascending order.
 
@@ -222,12 +225,12 @@ def _subtract_shared_columns(w: np.ndarray, lrows: csr_array, rrows: csr_array, 
     """
     n, width = w.shape
     proposed = metric is MetricKind.PROPOSED
-    rcols = rrows.tocsc()
+    rcols = rrows.columns()
     rptr = rcols.indptr.tolist()
     qlogq = _xlogx(rcols.data) if proposed else None
     step = max(1, _BLOCK_BYTES // (w.itemsize * max(width, 1)))
     for start in range(0, n, step):
-        lcols = (lrows if step >= n else lrows[start : start + step]).tocsc()
+        lcols = (lrows if step >= n else lrows.take(np.arange(start, min(n, start + step)))).columns()
         lptr = lcols.indptr.tolist()
         plogp = _xlogx(lcols.data) if proposed else None
         # A row slice of C-ordered ``w`` is contiguous, so this is a view.
@@ -256,11 +259,8 @@ def cooccurrences(left: HistogramSet, right: HistogramSet) -> int:
     """Pairs of distinct rows, one from each set, that share a location,
     counted once per shared location: sum over locations l of |L_l| |R_l|.
     This is the work of ``weight_matrix``'s walk over shared columns."""
-    remap, width = union_columns(left, right)
-    (lrows, _), (rrows, _) = left.row_classes, right.row_classes
-    rcount = np.zeros(width, dtype=np.int64)
-    rcount[remap] = np.bincount(rrows.indices, minlength=rrows.shape[1])
-    return int(np.bincount(lrows.indices, minlength=width) @ rcount)
+    lrows, rrows = union_rows(left, right)
+    return int(np.bincount(lrows.indices, minlength=lrows.width) @ np.bincount(rrows.indices, minlength=lrows.width))
 
 
 class PairDivergence:
@@ -292,8 +292,12 @@ class PairDivergence:
     and every running weight under 1.39.
     - BC is summed in float32, in any order, from k products of square
       roots rounded to float32: within 1.02v (k + 2.01) of itself for k
-      below 2^17, plus k 2^-148 where tiny masses underflow.  Doubled and scaled by ln 2: under 1.42v (k + 2.01)
-      + k 2^-147.
+      below 2^17, plus k 2^-148 where tiny masses underflow.  A fused
+      multiply-add rounds once instead of twice, so it only shrinks the
+      per-product error.  A location used by one side alone gives a product
+      of exactly 0, which adds no error, so k stays the count of shared
+      locations whatever the width of the dense product.  Doubled and scaled
+      by ln 2: under 1.42v (k + 2.01) + k 2^-147.
     - The float64 steps of the bound (two sums, the product with ln 2, the
       shave's own subtraction) add under 9u.
     - ``weight_matrix``'s value departs from the exact weight by under
@@ -311,30 +315,28 @@ class PairDivergence:
     """
 
     def __init__(self, left: HistogramSet, right: HistogramSet):
-        # Both sets' distinct rows over their own columns, and each right
-        # column's in the union, where left columns keep their numbers.
-        (lrows, lof), (rrows, rof) = left.row_classes, right.row_classes
-        self.rows, self.of_row = (lrows, rrows), (lof, rof)
-        self.remap, self.width = union_columns(left, right)
+        lrows, rrows = self.rows = union_rows(left, right)
+        self.of_row = left.row_classes[1], right.row_classes[1]
         self.sums = _row_fsums(lrows, lrows.data), _row_fsums(rrows, rrows.data)
 
     def lower_bounds(self) -> np.ndarray:
         """The shaved bound of every pair of entries, as a new N x N' array."""
         lrows, rrows = self.rows
         lsum, rsum = self.sums
-        # BC in float32, a block of right rows at a time: one sparse-times-dense
-        # product with the block's square roots as dense columns.
-        lroots = csr_array(
-            (np.sqrt(lrows.data).astype(np.float32), lrows.indices, lrows.indptr), shape=(lrows.shape[0], self.width)
-        )
-        b = np.empty((lrows.shape[0], rrows.shape[0]))
-        step = max(1, _ROOTS_CELLS // self.width)
-        for start in range(0, rrows.shape[0], step):
-            block = rrows[start : start + step]
-            roots = np.zeros((self.width, block.shape[0]), dtype=np.float32)
-            owner = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
-            roots[self.remap[block.indices], owner] = np.sqrt(block.data)
-            b[:, start : start + step] = lroots @ roots
+        # BC in float32, as dense products of blocks of left and right rows'
+        # square roots.  A left block spans as many cells as a right one, or up
+        # to an eighth of the bytes of ``b``, so large sets densify few times.
+        n, m = lrows.shape[0], rrows.shape[0]
+        rstep = max(1, _ROOTS_CELLS // lrows.width)
+        lstep = max(rstep, n * m // (4 * lrows.width))
+        b = np.empty((n, m))
+        bc = np.empty((min(lstep, n), min(rstep, m)), dtype=np.float32)
+        for lstart in range(0, n, lstep):
+            lroots = _roots(lrows, lstart, lstep)
+            for rstart in range(0, m, rstep):
+                rroots = _roots(rrows, rstart, rstep)
+                out = bc[: len(lroots), : len(rroots)]
+                b[lstart : lstart + lstep, rstart : rstart + rstep] = np.matmul(lroots, rroots.T, out=out)
         b *= -2.0
         b += lsum[:, None]
         b += rsum
@@ -359,30 +361,28 @@ class PairDivergence:
         # of one row per pair and union column, and reads it at its left
         # entries, which ascend in column within each pair, so the shared
         # columns come out ascending too.
-        step = max(1, _TABLE_CELLS // self.width)
-        table = np.zeros((min(step, len(a)), self.width), dtype=rrows.indptr.dtype)
+        step = max(1, _TABLE_CELLS // lrows.width)
+        table = np.zeros((min(step, len(a)), lrows.width), dtype=rrows.indptr.dtype)
         for start in range(0, len(a), step):
-            lpair, lpos = _expand(lrows.indptr, a[start : start + step])
-            rpair, rpos = _expand(rrows.indptr, b[start : start + step])
-            rcols = self.remap[rrows.indices[rpos]]
-            table[rpair, rcols] = rpos + 1
-            found = table[lpair, lrows.indices[lpos]]
-            table[rpair, rcols] = 0
+            lblock, rblock = lrows.take(a[start : start + step]), rrows.take(b[start : start + step])
+            lpair, rpair = lblock.row_of(), rblock.row_of()
+            table[rpair, rblock.indices] = np.arange(1, rblock.nnz + 1)
+            found = table[lpair, lblock.indices]
+            table[rpair, rblock.indices] = 0
             shared = np.flatnonzero(found)
-            p, q = lrows.data[lpos[shared]], rrows.data[found[shared] - 1]
+            p, q = lblock.data[shared], rblock.data[found[shared] - 1]
             terms = p + q
             terms *= np.log(terms)
             terms -= _xlogx(p)
             terms -= _xlogx(q)
-            np.subtract.at(w, start + lpair[shared], terms)
+            np.subtract.at(w[start : start + step], lpair[shared], terms)
         return np.clip(w, 0.0, MAX_DIVERGENCE_WEIGHT, out=w)
 
 
-def _expand(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For the entries of ``rows`` of a CSR array, in order: the index in
-    ``rows`` of the row each belongs to, and each one's position."""
-    begin = indptr[rows].astype(np.intp)
-    counts = indptr[rows + 1] - begin
-    owner = np.repeat(np.arange(len(rows)), counts)
-    return owner, np.arange(len(owner)) + np.repeat(begin - (np.cumsum(counts) - counts), counts)
-
+def _roots(rows: PackedRows, start: int, step: int) -> np.ndarray:
+    """Rows ``start`` to ``start + step - 1`` as dense float32 square roots of their masses."""
+    ptr = rows.indptr[start : start + step + 1]
+    at = slice(ptr[0], ptr[-1])
+    dense = np.zeros((len(ptr) - 1, rows.width), dtype=np.float32)
+    dense[np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)), rows.indices[at]] = np.sqrt(rows.data[at])
+    return dense

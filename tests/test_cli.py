@@ -647,6 +647,47 @@ class TestSolverLoading:
         assert out.returncode == 0, out.stderr
         assert (tmp_path / "p.csv").exists() and (tmp_path / "o" / "results.csv").exists()
 
+    def test_only_cosine_and_dot_load_scipy_sparse(self, tmp_path):
+        (tmp_path / "events.csv").write_text("user,timestamp,location\nu1,100,a\nu1,900,a\nu2,120,c\nu2,880,b\n")
+        (tmp_path / "config.json").write_text(json.dumps({
+            "scenario": "vary_n", "repetitions": 1, "metrics": ["proposed"],
+            "params": {"n_values": [6], "t": 40, "alphabet_size": 20},
+        }))
+        script = textwrap.dedent("""
+            import sys
+            from histmatch import matcher
+            from histmatch.cli import main
+            d = sys.argv[1] + "/"
+            assert "scipy.sparse" not in sys.modules, "importing histmatch loaded scipy.sparse"
+            assert main(["synth", "--users", "6", "--alphabet", "20", "--t1", "40", "--t2", "40",
+                         "--out-left", d + "l.csv", "--out-right", d + "r.csv"]) == 0
+            assert main(["ingest", "--events", d + "events.csv", "--boundary", "500",
+                         "--out-left", d + "il.csv", "--out-right", d + "ir.csv"]) == 0
+            assert main(["anonymize", "--input", d + "l.csv", "--k", "2", "--out-released", d + "rel.csv"]) == 0
+            match = ["match", "--left", d + "l.csv", "--right", d + "r.csv", "--out-pairs", d + "p.csv"]
+            assert main(match + ["--algorithm", "a1"]) == 0
+            certified, calls = matcher._certified_min_weight, []
+            matcher._certified_min_weight = lambda instance: calls.append(certified(instance)) or calls[-1]
+            matcher.CERTIFIED_MIN_COOCCURRENCES = 0
+            assert main(match + ["--algorithm", "a1"]) == 0
+            assert len(calls) == 1 and calls[0] is not None, "a1 did not certify its matching"
+            assert main(match + ["--algorithm", "a1", "--metric", "l1"]) == 0
+            assert main(match + ["--algorithm", "a2:3"]) == 0
+            assert main(match + ["--algorithm", "greedy"]) == 0
+            assert main(["experiment", "--config", d + "config.json", "--out-dir", d + "o"]) == 0
+            assert "scipy.sparse" not in sys.modules, "a command loaded scipy.sparse"
+            assert main(match[:-1] + [d + "cosine.csv", "--metric", "cosine"]) == 0
+            assert "scipy.sparse" in sys.modules
+        """)
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        # The same cosine pairs from a process that loaded scipy.sparse before histmatch.
+        first = "import sys, scipy.sparse; from histmatch.cli import main; sys.exit(main(sys.argv[1:]))"
+        args = ["match", "--left", tmp_path / "l.csv", "--right", tmp_path / "r.csv", "--metric", "cosine"]
+        out = subprocess.run([sys.executable, "-c", first, *args, "--out-pairs", tmp_path / "first.csv"], capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "cosine.csv").read_bytes()
+
 
 class TestConsoleScript:
     def test_entrypoint_runs(self, tmp_path):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_array
 
 from histmatch import core
 from histmatch.core import (
@@ -16,6 +15,7 @@ from histmatch.core import (
     GroundTruth,
     Histogram,
     HistogramSet,
+    PackedRows,
     aggregate_locations,
     build_histogram,
     filter_active_users,
@@ -341,7 +341,7 @@ def assert_union_packed(a, b):
     first, second = union_rows(a, b)
     assert_packed(first, distinct_maps(a), locations)
     # ``second`` keeps its set's order of columns within a row.
-    assert_packed(second.sorted_indices(), distinct_maps(b), locations)
+    assert_packed(second.sorted(), distinct_maps(b), locations)
     distinct = a.row_classes[0]
     assert np.shares_memory(first.data, distinct.data) and np.shares_memory(first.indices, distinct.indices)
 
@@ -479,7 +479,7 @@ def key_rows(hset):
     indptr = np.cumsum([0] + [len(h.mass) for h in hset.histograms]).astype(np.int32)
     indices = np.array([column[loc] for h in hset.histograms for loc in h.mass], dtype=np.int32)
     data = np.array([p for h in hset.histograms for p in h.mass.values()], dtype=np.float64)
-    return hset.owners, hset.locations, csr_array((data, indices, indptr), shape=(len(hset), len(column)))
+    return hset.owners, hset.locations, PackedRows(indptr, indices, data, len(column))
 
 
 def packed_arrays(hset):
@@ -543,15 +543,30 @@ class TestFromRows:
         ],
     )
     def test_invalid_rows(self, data, indices, indptr, owners, locations, message):
-        shape = (len(indptr) - 1, max(indices) + 1)
-        rows = csr_array((np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)), shape=shape)
+        rows = PackedRows(np.array(indptr, dtype=np.int32), np.array(indices, dtype=np.int32), np.array(data), max(indices) + 1)
         with pytest.raises(ValueError, match=message):
             HistogramSet.from_rows(owners, locations, rows)
+
+    @pytest.mark.parametrize(
+        "indptr, indices, data, width, message",
+        [
+            ([1, 2], [0, 1], [0.5, 0.5], 2, "start at 0"),  # indptr starts past 0
+            ([0, 2, 1, 2], [0, 1], [0.5, 0.5], 2, "never decrease"),
+            ([0, 1], [0, 1], [0.5, 0.5], 2, "end at the number of entries"),  # indptr ends before the data
+            ([0, 2], [0, 1, 1], [0.5, 0.5], 2, "end at the number of entries"),  # more indices than masses
+            ([0, 2], [0, 2], [0.5, 0.5], 2, r"lie in \[0, 2\)"),  # a column past the width
+            ([0, 2], [-1, 0], [0.5, 0.5], 2, r"lie in \[0, 2\)"),  # a negative column
+        ],
+    )
+    def test_malformed_rows(self, indptr, indices, data, width, message):
+        with pytest.raises(ValueError, match=message):
+            rows = PackedRows(np.array(indptr, dtype=np.int32), np.array(indices, dtype=np.int32), np.array(data), width)
+            HistogramSet.from_rows(["u"] * (len(indptr) - 1), ["a", "b"], rows)
 
     @pytest.mark.parametrize("off", [0.0, 5e-10, 1e-9, -1e-9, 2e-9, -3e-9])
     def test_mass_tolerance_as_histogram(self, off):
         mass = {"a": 0.25, "b": 0.75 + off}
-        rows = csr_array((np.array(list(mass.values())), np.array([0, 1], dtype=np.int32), np.array([0, 2], dtype=np.int32)), shape=(1, 2))
+        rows = PackedRows(np.array([0, 2], dtype=np.int32), np.array([0, 1], dtype=np.int32), np.array(list(mass.values())), 2)
         try:
             Histogram(mass=dict(mass))
         except ValueError as exc:
