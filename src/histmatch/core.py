@@ -444,7 +444,10 @@ def quantize_geo(lat: float, lon: float, cell_side: float, origin: tuple[float, 
         raise ValueError(f"cell_side must be positive and finite, got {cell_side!r}")
     north = math.radians(lat - lat0) * EARTH_RADIUS_M
     east = math.radians(lon - lon0) * EARTH_RADIUS_M * math.cos(math.radians(lat0))
-    return f"{math.floor(north / cell_side)}:{math.floor(east / cell_side)}"
+    try:
+        return f"{math.floor(north / cell_side)}:{math.floor(east / cell_side)}"
+    except OverflowError:
+        raise InvalidCoordinateError(f"cell index of ({lat!r}, {lon!r}) overflows at cell side {cell_side!r}") from None
 
 
 def suppress_and_renormalize(h: Histogram, keep: set[str]) -> Histogram:

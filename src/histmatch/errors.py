@@ -10,7 +10,7 @@ class EmptyStringError(HistmatchError):
 
 
 class InvalidCoordinateError(HistmatchError):
-    """A geographic coordinate was not a finite number."""
+    """A geographic coordinate was not a finite number, or its grid cell's index overflows."""
 
 
 class ZeroMassAfterSuppressionError(HistmatchError):

@@ -4,10 +4,11 @@ Solvers:
 
 * ``match_min_weight`` (A1): exact minimum-weight maximal matching, i.e. an
   assignment covering every left node, via the Hungarian method.  Under the
-  divergence weight, on instances with at least ``CERTIFIED_MIN_COOCCURRENCES``
-  shared locations between distinct rows, it solves a matrix of lower bounds
-  and computes exact weights only where the assignment lands, until it lands
-  on exact weights alone, which certifies it optimal.
+  divergence weight, on sets of distinct rows sharing at least
+  ``CERTIFIED_MIN_COOCCURRENCES`` locations, it solves a matrix of lower
+  bounds and computes exact weights only where the assignment lands, until
+  it lands on exact weights alone, which certifies it optimal.  A set that
+  repeats a row, as a k-anonymized release does, takes the dense path.
 * ``match_cardinality`` (A2): exact minimum-weight matching with a fixed
   number of pairs (minimum-cost imperfect matching), solved as one padded
   assignment problem.
@@ -46,8 +47,8 @@ ORACLE_LIMIT = 8
 
 TOTAL_WEIGHT_ATOL = 1e-9
 
-# A1 under the divergence weight takes the certified path on instances whose
-# distinct rows share at least this many locations (``metrics.cooccurrences``),
+# A1 under the divergence weight takes the certified path on sets of distinct
+# rows that share at least this many locations (``metrics.cooccurrences``),
 # the dense pass's own work; below it the dense path is faster.
 CERTIFIED_MIN_COOCCURRENCES = 16_000_000
 
@@ -107,10 +108,12 @@ class BipartiteInstance:
     @cached_property
     def certified(self) -> bool:
         """Whether A1 takes the certified path: under the divergence weight,
-        above the size rule, and without a matrix given."""
+        on sets that repeat no row (checked before the count, which a release
+        then skips), above the size rule, and without a matrix given."""
         return (
             not self.explicit
             and self.metric is MetricKind.PROPOSED
+            and all(s.row_classes[0].shape[0] == len(s) for s in (self.left, self.right))
             and cooccurrences(self.left, self.right) >= CERTIFIED_MIN_COOCCURRENCES
         )
 

@@ -18,9 +18,9 @@ flat indices.  Each weight is computed once per pair of distinct rows
 costs one row per cluster.
 
 :class:`PairDivergence` serves a solver that needs few exact divergence
-weights: a proven lower bound of every pair's weight from a dense float32
-product of the rows' square roots, and the exact weight of chosen pairs, bit
-for bit as ``weight_matrix`` computes it.
+weights between distinct rows: a proven lower bound of every pair's weight
+from a dense float32 product of the rows' square roots, and the exact weight
+of chosen pairs, bit for bit as ``weight_matrix`` computes it.
 """
 from __future__ import annotations
 
@@ -264,9 +264,9 @@ def cooccurrences(left: HistogramSet, right: HistogramSet) -> int:
 
 
 class PairDivergence:
-    """The divergence weight between the entries of two sets, pair by pair:
-    a lower bound for every pair (``lower_bounds``) and exact weights for
-    chosen pairs (``weights``).
+    """The divergence weight between the distinct rows of two sets, pair by
+    pair: a lower bound for every pair (``lower_bounds``) and exact weights
+    for chosen pairs (``weights``), each pair indexing distinct rows.
 
     **The bound.**  With |p| and |q| the row sums and BC = sum_l sqrt(p_l q_l),
     w(p, q) >= ln 2 (|p| + |q| - 2 BC), which is 2 ln 2 H^2 for unit masses
@@ -316,11 +316,10 @@ class PairDivergence:
 
     def __init__(self, left: HistogramSet, right: HistogramSet):
         lrows, rrows = self.rows = union_rows(left, right)
-        self.of_row = left.row_classes[1], right.row_classes[1]
         self.sums = _row_fsums(lrows, lrows.data), _row_fsums(rrows, rrows.data)
 
     def lower_bounds(self) -> np.ndarray:
-        """The shaved bound of every pair of entries, as a new N x N' array."""
+        """The shaved bound of every pair of distinct rows, as a new array."""
         lrows, rrows = self.rows
         lsum, rsum = self.sums
         # BC in float32, as dense products of blocks of left and right rows'
@@ -343,28 +342,24 @@ class PairDivergence:
         b *= LN2
         shared = np.minimum(np.diff(lrows.indptr), np.diff(rrows.indptr).max())
         b -= (SHAVE_PER_TERM * (shared + SHAVE_TERMS))[:, None]
-        np.clip(b, 0.0, MAX_DIVERGENCE_WEIGHT, out=b)
-        if b.shape != (len(self.of_row[0]), len(self.of_row[1])):
-            b = b[np.ix_(*self.of_row)]
-        return b
+        return np.clip(b, 0.0, MAX_DIVERGENCE_WEIGHT, out=b)
 
     def weights(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """The weights of pairs (i[k], j[k]) of entries, each equal to
+        """The weights of pairs (i[k], j[k]) of distinct rows, each equal to
         ``weight_matrix``'s entry bit for bit: the same start from the same
         row sums, the same terms taken off in ascending union column, the
         same clip."""
         lrows, rrows = self.rows
-        a, b = self.of_row[0][i], self.of_row[1][j]
-        w = self.sums[0][a] + self.sums[1][b]
+        w = self.sums[0][i] + self.sums[1][j]
         w *= LN2
         # A block of pairs writes its right entries' positions into a table
         # of one row per pair and union column, and reads it at its left
         # entries, which ascend in column within each pair, so the shared
         # columns come out ascending too.
         step = max(1, _TABLE_CELLS // lrows.width)
-        table = np.zeros((min(step, len(a)), lrows.width), dtype=rrows.indptr.dtype)
-        for start in range(0, len(a), step):
-            lblock, rblock = lrows.take(a[start : start + step]), rrows.take(b[start : start + step])
+        table = np.zeros((min(step, len(i)), lrows.width), dtype=rrows.indptr.dtype)
+        for start in range(0, len(i), step):
+            lblock, rblock = lrows.take(i[start : start + step]), rrows.take(j[start : start + step])
             lpair, rpair = lblock.row_of(), rblock.row_of()
             table[rpair, rblock.indices] = np.arange(1, rblock.nnz + 1)
             found = table[lpair, lblock.indices]

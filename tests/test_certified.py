@@ -60,8 +60,14 @@ def dirichlet_set(rng, n, locations, alpha=1.0, prefix="o"):
     return as_set(masses, prefix)
 
 
+def distinct_weights(left, right):
+    """``weight_matrix`` at each set's distinct rows, the pairs ``PairDivergence`` indexes."""
+    first = [np.unique(hset.row_classes[1], return_index=True)[1] for hset in (left, right)]
+    return weight_matrix(left, right, PROPOSED)[np.ix_(*first)]
+
+
 def assert_bound_below(left, right):
-    bounds, weights = PairDivergence(left, right).lower_bounds(), weight_matrix(left, right, PROPOSED)
+    bounds, weights = PairDivergence(left, right).lower_bounds(), distinct_weights(left, right)
     assert bounds.shape == weights.shape
     assert (bounds >= 0.0).all() and (bounds <= MAX_DIVERGENCE_WEIGHT).all()
     assert (bounds <= weights).all()
@@ -69,7 +75,7 @@ def assert_bound_below(left, right):
 
 
 def assert_pairs_exact(left, right, i, j):
-    expected = weight_matrix(left, right, PROPOSED)[i, j]
+    expected = distinct_weights(left, right)[i, j]
     got = PairDivergence(left, right).weights(np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp))
     assert got.tobytes() == expected.tobytes()
 
@@ -212,7 +218,8 @@ def test_pair_weights_follow_union_columns_that_do_not_ascend():
 
 def test_pair_weights_with_repeated_objects_and_fewer_left_rows():
     for left, right in duplicate_cases():
-        i, j = np.divmod(np.arange(len(left) * len(right)), len(right))
+        n, m = left.row_classes[0].shape[0], right.row_classes[0].shape[0]
+        i, j = np.divmod(np.arange(n * m), m)
         assert_pairs_exact(left, right, i, j)
 
 
@@ -273,10 +280,14 @@ def test_certified_equals_dense_on_tie_free_instances(certify_all, alpha, t, alp
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("t, alphabet", [(3, 6), (5, 20), (60, 1000)])
 def test_certified_on_tie_heavy_instances(certify_all, seed, t, alphabet):
-    """Short strings over few locations repeat histograms, and strings of 60
-    over 1000 locations give many pairs one weight, so optima tie."""
+    """Short strings over few locations give pairs equal weights, and strings
+    of 60 over 1000 locations give many pairs one weight, so optima tie.
+    Strings of 3 over 6 locations also repeat histograms, which sends the
+    instance to the dense path."""
     left, right = synth_pair(60, 70, 1.0, t, seed=seed, alphabet=alphabet)
-    got, expected = match_min_weight(build_instance(left, right, PROPOSED)), dense_a1(left, right)
+    instance = build_instance(left, right, PROPOSED)
+    assert instance.certified is (t != 3)
+    got, expected = match_min_weight(instance), dense_a1(left, right)
     assert len(got) == len(left)
     assert got.total_weight == pytest.approx(expected.total_weight, abs=1e-12)
 
@@ -293,11 +304,13 @@ def test_certified_agrees_with_the_oracle(certify_all, seed):
 
 
 def test_certified_on_duplicated_rows(certify_all):
+    """Sets that repeat a row take the dense path, even above the rule."""
     for left, right in duplicate_cases():
         if len(left) > len(right):
             left, right = right, left
-        got, expected = match_min_weight(build_instance(left, right, PROPOSED)), dense_a1(left, right)
-        assert got.total_weight == pytest.approx(expected.total_weight, abs=1e-12)
+        instance = build_instance(left, right, PROPOSED)
+        assert not instance.certified and "weights" in vars(instance)
+        assert_same_result(match_min_weight(instance), dense_a1(left, right))
 
 
 def test_fallback_solves_the_dense_matrix(certify_all, monkeypatch):
@@ -312,11 +325,15 @@ def test_fallback_solves_the_dense_matrix(certify_all, monkeypatch):
 
 
 def test_cached_matrix_leaves_the_choice_unchanged(certify_all):
-    left, right = synth_pair(60, 60, 1.0, 5, seed=1, alphabet=8)
-    fresh = match_min_weight(build_instance(left, right, PROPOSED))
-    instance = build_instance(left, right, PROPOSED)
-    instance.weights  # as another solver would have left it
-    assert match_min_weight(instance) == fresh
+    # Strings of 5 over 8 locations repeat a right row, which takes the dense
+    # path; strings of 60 over 1000 repeat none and tie often.
+    for alphabet, t, certified in ((8, 5, False), (1000, 60, True)):
+        left, right = synth_pair(60, 60, 1.0, t, seed=1, alphabet=alphabet)
+        fresh = match_min_weight(build_instance(left, right, PROPOSED))
+        instance = build_instance(left, right, PROPOSED)
+        assert instance.certified is certified
+        instance.weights  # as another solver would have left it
+        assert match_min_weight(instance) == fresh
 
 
 def test_other_solvers_and_metrics_read_the_dense_matrix(certify_all):
@@ -366,3 +383,21 @@ def test_cli_above_the_rule_skips_the_dense_matrix(tmp_path, monkeypatch, capsys
     assert cli.main(match + ["--out-pairs", str(tmp_path / "dense.csv")]) == 0
     assert len(calls) == 1
     assert (tmp_path / "certified.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+
+def test_cli_release_takes_the_dense_path(tmp_path, monkeypatch, capsys):
+    """A k=5 release repeats each centroid five times; above the rule, its
+    match computes the dense matrix once and never enters the certified loop."""
+    left, right, released = (str(tmp_path / name) for name in ("l.csv", "r.csv", "released.csv"))
+    assert cli.main(["synth", "--users", "1000", "--alphabet", "1000", "--alpha", "1.0", "--t1", "200",
+                     "--t2", "200", "--seed", "1", "--out-left", left, "--out-right", right]) == 0
+    assert cli.main(["anonymize", "--input", left, "--k", "5", "--out-released", released]) == 0
+    calls, certified = [], []
+    monkeypatch.setattr(matcher, "weight_matrix", lambda *args: calls.append(args) or weight_matrix(*args))
+    monkeypatch.setattr(matcher, "_certified_min_weight", lambda instance: certified.append(instance))
+    match = ["match", "--left", released, "--right", right, "--algorithm", "a1"]
+    assert cli.main(match + ["--out-pairs", str(tmp_path / "release.csv")]) == 0
+    assert certified == [] and len(calls) == 1
+    monkeypatch.setattr(matcher, "CERTIFIED_MIN_COOCCURRENCES", 2**62)
+    assert cli.main(match + ["--out-pairs", str(tmp_path / "dense.csv")]) == 0
+    assert (tmp_path / "release.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()

@@ -408,6 +408,26 @@ class TestIngestCommand:
         assert code == 1
         assert json.loads(err) == {"error": "ValueError", "message": "cell_side must be positive and finite, got -5.0"}
 
+    @pytest.mark.parametrize("location, side", [("1e308,116.3", "100"), ("39.9,116.3", "1e-320")])
+    def test_geo_cell_index_overflow(self, tmp_path, capsys, location, side):
+        # A finite point far off, or a subnormal cell side, puts the point an infinite number of cells away.
+        events = tmp_path / "events.csv"
+        events.write_text(f'user,timestamp,location\nu1,10,"{location}"\nu1,900,"39.9,116.3"\n')
+        code, out, err = run_cli(
+            capsys,
+            "ingest",
+            "--events", str(events), "--boundary", "500",
+            "--out-left", str(tmp_path / "l.csv"), "--out-right", str(tmp_path / "r.csv"),
+            "--geo-grid", side,
+        )
+        assert code == 1 and out == ""
+        lat, lon = map(float, location.split(","))
+        assert json.loads(err) == {
+            "error": "InvalidCoordinateError",
+            "message": f"cell index of ({lat!r}, {lon!r}) overflows at cell side {float(side)!r}",
+        }
+        assert not (tmp_path / "l.csv").exists()
+
     @pytest.mark.parametrize("origin", ["nan,0", "inf,0"])
     def test_geo_origin_not_finite(self, tmp_path, capsys, origin):
         events = tmp_path / "events.csv"

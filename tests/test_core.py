@@ -206,6 +206,11 @@ class TestQuantizeGeo:
         with pytest.raises(InvalidCoordinateError):
             quantize_geo(0.0, float("inf"), 100.0, (0.0, 0.0))
 
+    @pytest.mark.parametrize("lat, side", [(1e308, 100.0), (39.9, 1e-320), (0.0, 5e-324)])
+    def test_cell_index_overflow_rejected(self, lat, side):
+        with pytest.raises(InvalidCoordinateError, match="overflows"):
+            quantize_geo(lat, 116.3, side, (0.0, 0.0))
+
     def test_bad_cell_side(self):
         with pytest.raises(ValueError):
             quantize_geo(0.0, 0.0, 0.0, (0.0, 0.0))

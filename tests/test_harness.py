@@ -9,7 +9,7 @@ import pytest
 
 from histmatch.anonymize import ClusterPartition, microaggregate
 from histmatch.core import GroundTruth, Histogram, HistogramSet
-from histmatch.errors import ConfigError, HistmatchError, PartitionCoverageError
+from histmatch.errors import ConfigError, HistmatchError, InvalidCoordinateError, PartitionCoverageError
 from histmatch.harness import (
     AccuracyReport,
     ExperimentConfig,
@@ -386,6 +386,16 @@ class TestRunExperiment:
             params={"event_log": str(events), "boundary": 1000, "cell_sides": [100.0]},
         )
         with pytest.raises(HistmatchError, match=re.escape("expected 'lat,lon', got '39.9;116.3'")):
+            run_experiment(cfg)
+
+    def test_aggregate_event_log_cell_index_overflow_is_typed(self, tmp_path):
+        events = tmp_path / "gps.csv"
+        events.write_text('user,timestamp,location\nu0,100,"1e308,116.3"\nu0,1100,"39.9,116.3"\n')
+        cfg = ExperimentConfig(
+            scenario="aggregate",
+            params={"event_log": str(events), "boundary": 1000, "cell_sides": [100.0]},
+        )
+        with pytest.raises(InvalidCoordinateError, match=re.escape("cell index of (1e+308, 116.3) overflows")):
             run_experiment(cfg)
 
     @staticmethod
