@@ -8,7 +8,11 @@ after construction and all operations are pure functions.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,6 +33,24 @@ MASS_ATOL = 1e-9
 
 # Mean Earth radius in meters, used by the local equirectangular projection.
 EARTH_RADIUS_M = 6_371_000.0
+
+
+def _scipy_extension(name: str):
+    """scipy's compiled module ``name`` loaded without its package and
+    registered under its own name, so that a later import of the package
+    binds this very module; a module that is not compiled is imported as usual."""
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy
+
+        package = name.split(".")[1:-1]
+        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], *package)])
+        if spec is None or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
+            return importlib.import_module(name)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
 
 
 @dataclass(frozen=True)

@@ -18,23 +18,20 @@ Solvers:
 
 All solvers minimize; similarity weights are converted to distances when the
 instance is built.  A1 and A2 load scipy's compiled assignment solver alone
-at their first call, never the ``scipy.optimize`` package, so no command
-loads ``scipy.optimize``.
+at their first call (``core._scipy_extension``), as ``weight_matrix`` loads
+scipy's sparse kernels, so no command loads ``scipy.optimize`` or
+``scipy.sparse``.
 """
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import itertools
 import math
-import os
-import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import HistogramSet
+from .core import HistogramSet, _scipy_extension
 from .errors import (
     InvalidCardinalityError,
     MetricMismatchError,
@@ -149,28 +146,11 @@ def _result(weights: np.ndarray, pairs: list[tuple[int, int]], algorithm: str) -
     return MatchResult(pairs=triples, total_weight=total, algorithm=algorithm)
 
 
-@lru_cache(maxsize=None)
 def _linear_sum_assignment():
-    """scipy's ``linear_sum_assignment``, loaded from its compiled module
-    ``scipy.optimize._lsap`` without the ``scipy.optimize`` package, which
-    would also load ``scipy.linalg``, ``scipy.special`` and ``scipy.fft``.
-    The module is registered under its own name, so a later ``import
-    scipy.optimize`` re-exports this very function.  A scipy whose module is
-    Python source imports its package anyway, so it is imported as usual."""
-    name = "scipy.optimize._lsap"
-    module = sys.modules.get(name)
-    if module is None:
-        import scipy
-
-        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "optimize")])
-        if spec is None or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
-            from scipy.optimize import linear_sum_assignment
-
-            return linear_sum_assignment
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return module.linear_sum_assignment
+    """scipy's ``linear_sum_assignment`` from ``scipy.optimize._lsap`` alone,
+    without the ``scipy.optimize`` package, which would also load
+    ``scipy.linalg``, ``scipy.special`` and ``scipy.fft``."""
+    return _scipy_extension("scipy.optimize._lsap").linear_sum_assignment
 
 
 def match_min_weight(instance: BipartiteInstance) -> MatchResult:

@@ -10,8 +10,9 @@ plain ``{location: probability}`` mappings.  ``weight_matrix`` reads the two
 sets' packed rows over the union of their locations
 (:func:`~histmatch.core.union_rows`) and evaluates a whole set-against-set
 weight matrix in time proportional to the co-occurring support instead of
-N * N' * M: the dot and cosine weights as one scipy sparse product, the
-divergence and l1 weights by a walk over the columns both sets use.  That
+N * N' * M: the dot and cosine weights as scipy's sparse product, run by
+``scipy.sparse._sparsetools`` alone, without the ``scipy.sparse`` package;
+the divergence and l1 weights by a walk over the columns both sets use.  That
 walk runs over blocks of left rows and scatters each column's terms through
 flat indices.  Each weight is computed once per pair of distinct rows
 (:attr:`~histmatch.core.HistogramSet.row_classes`), so a k-anonymized release
@@ -30,7 +31,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import Histogram, HistogramSet, PackedRows, union_rows
+from .core import Histogram, HistogramSet, PackedRows, _scipy_extension, union_rows
 
 LN2 = math.log(2.0)
 
@@ -183,11 +184,8 @@ def weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -
     # its two rows alone, so it is computed once per pair of distinct rows.
     lrows, rrows = union_rows(left, right)
     if metric in (MetricKind.COSINE, MetricKind.DOT):
-        # scipy's product defines these weights bit for bit, so it is loaded here only.
-        from scipy.sparse import csr_array
-
-        dots = (csr_array((lrows.data, lrows.indices, lrows.indptr), shape=lrows.shape)
-                @ csr_array((rrows.data, rrows.indices, rrows.indptr), shape=rrows.shape).T).toarray()
+        # scipy's sparse product defines these weights bit for bit.
+        dots = _dot_products(lrows, rrows)
         if metric is MetricKind.COSINE:
             lnorm = np.sqrt(_row_fsums(lrows, lrows.data * lrows.data))
             rnorm = np.sqrt(_row_fsums(rrows, rrows.data * rrows.data))
@@ -204,6 +202,24 @@ def weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -
     if w.shape != (len(left), len(right)):
         w = w[np.ix_(left.row_classes[1], right.row_classes[1])]
     return w
+
+
+def _dot_products(lrows: PackedRows, rrows: PackedRows) -> np.ndarray:
+    """scipy's ``(csr_array(lrows) @ csr_array(rrows).T).toarray()``: its own
+    kernels on the same arrays, so the same sums in the same order, with
+    ``rrows.columns()`` the transpose scipy converts to CSR."""
+    sparsetools = _scipy_extension("scipy.sparse._sparsetools")
+    rcols = rrows.columns()
+    n, m = lrows.shape[0], rrows.shape[0]
+    index = np.int64 if max(n * m, lrows.nnz, rrows.nnz, lrows.width) >= 2**31 else np.int32
+    a = lrows.indptr.astype(index), lrows.indices.astype(index)
+    b = rcols.indptr.astype(index), rcols.indices.astype(index)
+    nnz = sparsetools.csr_matmat_maxnnz(n, m, *a, *b)
+    indptr, indices, data = np.empty(n + 1, index), np.empty(nnz, index), np.empty(nnz)
+    sparsetools.csr_matmat(n, m, *a, lrows.data, *b, rcols.data, indptr, indices, data)
+    dots = np.zeros((n, m))
+    sparsetools.csr_todense(n, m, indptr, indices, data, dots)
+    return dots
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:

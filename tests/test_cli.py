@@ -667,11 +667,15 @@ class TestSolverLoading:
         assert out.returncode == 0, out.stderr
         assert (tmp_path / "p.csv").exists() and (tmp_path / "o" / "results.csv").exists()
 
-    def test_only_cosine_and_dot_load_scipy_sparse(self, tmp_path):
+    def test_no_command_loads_scipy_sparse(self, tmp_path):
         (tmp_path / "events.csv").write_text("user,timestamp,location\nu1,100,a\nu1,900,a\nu2,120,c\nu2,880,b\n")
         (tmp_path / "config.json").write_text(json.dumps({
             "scenario": "vary_n", "repetitions": 1, "metrics": ["proposed"],
             "params": {"n_values": [6], "t": 40, "alphabet_size": 20},
+        }))
+        (tmp_path / "kanon.json").write_text(json.dumps({
+            "scenario": "kanon", "repetitions": 1, "metrics": ["proposed", "l1", "cosine", "dot"],
+            "params": {"k_values": [2], "n_users": 12, "t": 40, "alphabet_size": 20},
         }))
         script = textwrap.dedent("""
             import sys
@@ -695,18 +699,23 @@ class TestSolverLoading:
             assert main(match + ["--algorithm", "a2:3"]) == 0
             assert main(match + ["--algorithm", "greedy"]) == 0
             assert main(["experiment", "--config", d + "config.json", "--out-dir", d + "o"]) == 0
+            for metric in ("cosine", "dot"):
+                for algorithm in ("a1", "a2:3", "greedy"):
+                    out = d + metric + "-" + algorithm.replace(":", "") + ".csv"
+                    assert main(match[:-1] + [out, "--metric", metric, "--algorithm", algorithm]) == 0
+            assert main(["experiment", "--config", d + "kanon.json", "--out-dir", d + "k"]) == 0
             assert "scipy.sparse" not in sys.modules, "a command loaded scipy.sparse"
-            assert main(match[:-1] + [d + "cosine.csv", "--metric", "cosine"]) == 0
-            assert "scipy.sparse" in sys.modules
         """)
         out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        # The same cosine pairs from a process that loaded scipy.sparse before histmatch.
+        assert (tmp_path / "k" / "results.csv").exists()
+        # The same cosine and dot pairs from a process that loaded scipy.sparse before histmatch.
         first = "import sys, scipy.sparse; from histmatch.cli import main; sys.exit(main(sys.argv[1:]))"
-        args = ["match", "--left", tmp_path / "l.csv", "--right", tmp_path / "r.csv", "--metric", "cosine"]
-        out = subprocess.run([sys.executable, "-c", first, *args, "--out-pairs", tmp_path / "first.csv"], capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "cosine.csv").read_bytes()
+        for metric in ("cosine", "dot"):
+            args = ["match", "--left", tmp_path / "l.csv", "--right", tmp_path / "r.csv", "--metric", metric]
+            out = subprocess.run([sys.executable, "-c", first, *args, "--out-pairs", tmp_path / "first.csv"], capture_output=True, text=True, timeout=120)
+            assert out.returncode == 0, out.stderr
+            assert (tmp_path / "first.csv").read_bytes() == (tmp_path / f"{metric}-a1.csv").read_bytes()
 
 
 class TestConsoleScript:

@@ -333,6 +333,16 @@ class TestRunExperiment:
         pooled = run_experiment(ExperimentConfig(**base, workers=2))
         assert self._strip_timings(sequential.rows) == self._strip_timings(pooled.rows)
 
+    def test_worker_pool_matches_sequential_under_every_metric(self):
+        base = dict(
+            scenario="kanon", metrics=["proposed", "l1", "cosine", "dot"], repetitions=2, seed=17,
+            params={"k_values": [1, 3], "n_users": 18, "alphabet_size": 40, "t": 50},
+        )
+        sequential = run_experiment(ExperimentConfig(**base))
+        pooled = run_experiment(ExperimentConfig(**base, workers=2))
+        assert {row.metric for row in pooled.rows} == set(base["metrics"])
+        assert self._strip_timings(sequential.rows) == self._strip_timings(pooled.rows)
+
     def test_aggregate_event_log_pipeline(self, tmp_path):
         # four users with well-separated "home" cells, light jitter, two periods
         import csv as csv_mod

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from histmatch import metrics
 from histmatch.anonymize import microaggregate
-from histmatch.core import Histogram, HistogramSet
+from histmatch.core import Histogram, HistogramSet, union_rows
 from histmatch.metrics import (
     LN2,
     MAX_DIVERGENCE_WEIGHT,
@@ -333,6 +336,141 @@ class TestWeightMatrix:
             )
             assert np.array_equal(weight_matrix(lset, rset, MetricKind.DOT), np.clip(1.0 - dots, 0.0, 1.0))
             assert np.array_equal(weight_matrix(lset, rset, MetricKind.COSINE), np.clip(1.0 - dots / norms, 0.0, 1.0))
+
+
+def _sparse_product_weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -> np.ndarray:
+    """The dot and cosine weights as a ``scipy.sparse.csr_array`` product of
+    the two sets' ``union_rows``, the formula ``weight_matrix`` used before it
+    called scipy's compiled kernels itself."""
+    from scipy.sparse import csr_array
+
+    lrows, rrows = union_rows(left, right)
+    dots = (csr_array((lrows.data, lrows.indices, lrows.indptr), shape=lrows.shape)
+            @ csr_array((rrows.data, rrows.indices, rrows.indptr), shape=rrows.shape).T).toarray()
+    if metric is MetricKind.COSINE:
+        lnorm = np.sqrt(metrics._row_fsums(lrows, lrows.data * lrows.data))
+        rnorm = np.sqrt(metrics._row_fsums(rrows, rrows.data * rrows.data))
+        dots /= np.outer(lnorm, rnorm)
+    w = np.clip(1.0 - dots, 0.0, metric.max_distance)
+    return w[np.ix_(left.row_classes[1], right.row_classes[1])]
+
+
+class TestDotProductsMatchScipySparse:
+    """``weight_matrix`` runs scipy's sparse product kernels itself; every
+    cosine and dot weight must keep the bytes of the ``csr_array`` product."""
+
+    @staticmethod
+    def assert_same_bytes(left, right):
+        for metric in (MetricKind.COSINE, MetricKind.DOT):
+            w, want = weight_matrix(left, right, metric), _sparse_product_weight_matrix(left, right, metric)
+            assert w.shape == want.shape == (len(left), len(right))
+            assert w.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, m", [(40, 40), (25, 40), (40, 25)])
+    def test_generated_pairs(self, n, m):
+        for seed in range(3):
+            population = sample_population(PopulationSpec(60, 200, 0.5 + seed, seed))
+            left, right, _ = generate_pair(population, 60, 80, OverlapSpec(n, m, min(n, m) // 2), seed)
+            self.assert_same_bytes(left, right)
+
+    def test_k5_releases(self):
+        for seed in range(3):
+            population = sample_population(PopulationSpec(40, 300, 1.0, seed))
+            left, right, _ = generate_pair(population, 100, 100, OverlapSpec.full(40), seed)
+            released = microaggregate(left, 5)[1]
+            assert released.row_classes[0].shape[0] < len(released)
+            self.assert_same_bytes(released, right)
+            self.assert_same_bytes(right, released)
+
+    def test_right_columns_out_of_union_order(self):
+        population = sample_population(PopulationSpec(30, 400, 0.3, 9))
+        left, right, _ = generate_pair(population, 15, 300, OverlapSpec.full(30), 9)
+        rrows = union_rows(left, right)[1]
+        falls = np.diff(rrows.indices.astype(np.int64)) < 0
+        assert np.any(falls & (rrows.row_of()[1:] == rrows.row_of()[:-1]))
+        self.assert_same_bytes(left, right)
+
+    def test_one_location_alphabet(self):
+        point = as_set([{"A": 1.0}] * 3)
+        self.assert_same_bytes(point, as_set([{"A": 1.0}] * 2))
+        self.assert_same_bytes(point, as_set([{"A": 1.0}, {"B": 1.0}, {"A": 0.5, "B": 0.5}]))
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_tie_heavy_small_strings(self, t):
+        population = sample_population(PopulationSpec(50, 4, 1.0, t))
+        left, right, _ = generate_pair(population, t, t, OverlapSpec(30, 45, 25), t)
+        self.assert_same_bytes(left, right)
+        self.assert_same_bytes(right, left)
+
+
+class TestSparseKernelLoading:
+    """``weight_matrix`` loads ``scipy.sparse._sparsetools`` alone; a process
+    that imported ``scipy.sparse`` first, or one without a compiled module,
+    must compute the same bytes."""
+
+    SCRIPT = textwrap.dedent("""
+        import hashlib, importlib.machinery, sys
+        if sys.argv[1] == "first":
+            import scipy.sparse
+            loaded = sys.modules["scipy.sparse._sparsetools"]
+        if sys.argv[1] == "fallback":
+            find_spec = importlib.machinery.PathFinder.find_spec
+
+            def without_compiled_kernels(name, *args):
+                if name == "scipy.sparse._sparsetools" and "scipy.sparse" not in sys.modules:
+                    return None
+                return find_spec(name, *args)
+
+            importlib.machinery.PathFinder.find_spec = without_compiled_kernels
+        from histmatch.anonymize import microaggregate
+        from histmatch.metrics import MetricKind, weight_matrix
+        from histmatch.synth import OverlapSpec, PopulationSpec, generate_pair, sample_population
+        population = sample_population(PopulationSpec(40, 200, 0.5, 3))
+        left, right, _ = generate_pair(population, 60, 60, OverlapSpec(30, 40, 30), 3)
+        for lset in (left, microaggregate(left, 5)[1]):
+            for metric in (MetricKind.COSINE, MetricKind.DOT):
+                print(hashlib.sha256(weight_matrix(lset, right, metric).tobytes()).hexdigest())
+        print("scipy.sparse" in sys.modules)
+        if sys.argv[1] == "first":
+            assert sys.modules["scipy.sparse._sparsetools"] is loaded, "the kernels' module was loaded again"
+    """)
+
+    def _hashes(self, mode):
+        out = subprocess.run([sys.executable, "-c", self.SCRIPT, mode], capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        return out.stdout.splitlines()
+
+    def test_scipy_sparse_imported_first(self):
+        default, first = self._hashes("default"), self._hashes("first")
+        assert default[-1] == "False" and first[-1] == "True"
+        assert len(default) == 5 and default[:4] == first[:4]
+
+    def test_falls_back_to_the_package_without_a_compiled_module(self):
+        default, fallback = self._hashes("default"), self._hashes("fallback")
+        assert fallback[-1] == "True"
+        assert default[:4] == fallback[:4]
+
+    def test_scipy_sparse_imported_later_uses_the_loaded_module(self):
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from histmatch.core import union_rows
+            from histmatch.metrics import MetricKind, weight_matrix
+            from histmatch.synth import OverlapSpec, PopulationSpec, generate_pair, sample_population
+            population = sample_population(PopulationSpec(40, 200, 0.5, 4))
+            left, right, _ = generate_pair(population, 60, 60, OverlapSpec(30, 40, 30), 4)
+            w = weight_matrix(left, right, MetricKind.DOT)
+            loaded = sys.modules["scipy.sparse._sparsetools"]
+            assert "scipy.sparse" not in sys.modules, "weight_matrix loaded scipy.sparse"
+            from scipy.sparse import _compressed, csr_array
+            assert _compressed._sparsetools is loaded
+            lrows, rrows = union_rows(left, right)
+            dots = (csr_array((lrows.data, lrows.indices, lrows.indptr), shape=lrows.shape)
+                    @ csr_array((rrows.data, rrows.indices, rrows.indptr), shape=rrows.shape).T).toarray()
+            assert np.clip(1.0 - dots, 0.0, 1.0).tobytes() == w.tobytes()
+        """)
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
 
 
 class TestWeightMatrixMatchesOracle:
