@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="match two histogram CSVs")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--metric", default="proposed", choices=[k.value for k in MetricKind])
+    p.add_argument("--metric", default="proposed", type=str.lower, choices=[k.value for k in MetricKind])
     p.add_argument("--algorithm", default="a1", help="a1 | a2:<r> | greedy | brute[:r]")
     p.add_argument("--out-pairs", required=True)
     p.add_argument("--out-summary", default=None)

@@ -121,15 +121,15 @@ class PackedRows:
         arrays; a column twice in one row is a ``ValueError``."""
         row = self.row_of()
         new_row = row[1:] != row[:-1]
-        order = slice(None)
-        if not np.all((self.indices[1:] > self.indices[:-1]) | new_row):
-            # Stable radix sorts of narrow keys, by column and then by row.
-            order = np.argsort(self.indices.astype(np.min_scalar_type(self.width - 1)), kind="stable")
-            order = order[np.argsort(row[order], kind="stable")]
-        indices = np.array(self.indices[order])
+        if np.all((self.indices[1:] > self.indices[:-1]) | new_row):
+            return PackedRows(self.indptr, self.indices.copy(), self.data.copy(), self.width)
+        # Stable radix sorts of narrow keys, by column and then by row.
+        order = np.argsort(self.indices.astype(np.min_scalar_type(self.width - 1)), kind="stable")
+        order = order[np.argsort(row[order], kind="stable")]
+        indices = self.indices[order]
         if np.any((indices[1:] == indices[:-1]) & ~new_row):
             raise ValueError("a location appears twice in one histogram")
-        return PackedRows(self.indptr, indices, np.array(self.data[order]), self.width)
+        return PackedRows(self.indptr, indices, self.data[order], self.width)
 
     def columns(self) -> PackedRows:
         """The transpose, each column's rows ascending as in scipy's ``tocsc``;
@@ -177,9 +177,6 @@ class HistogramSet:
     ``row_classes`` never need.
     """
 
-    # Whether ``from_rows`` built the set, which then keeps the rows it got.
-    _from_rows = False
-
     def __init__(self, entries: Iterable[tuple[str, Histogram]]):
         entries = tuple(entries)
         owners = tuple(o for o, _ in entries)
@@ -217,19 +214,18 @@ class HistogramSet:
             raise ValueError(f"histogram mass sums to {total!r}, not 1")
         distinct, of_row = _pack(rows)
         hset = cls.__new__(cls)
-        hset.__dict__.update(owners=owners, locations=locations, rows=rows, row_classes=(distinct, of_row), _from_rows=True)
+        hset.__dict__.update(owners=owners, locations=locations, rows=rows, row_classes=(distinct, of_row))
         return hset
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: a HistogramSet is immutable")
 
     def __reduce__(self):
-        """Only what the set was built from: an unpickled set rebuilds its
-        caches, so ``rows`` stay read-only, and a set built from rows stays
-        without maps."""
-        if self._from_rows:
-            return HistogramSet.from_rows, (self.owners, self.locations, self.rows)
-        return HistogramSet, (self.entries,)
+        """``from_rows`` of the set's arrays, however it was built (a map-built
+        set's ``locations`` are its ``rows``' first-use order): an unpickled
+        set packs again, read-only, and builds one ``Histogram`` per entry,
+        with ``sample_count`` 0, only on use."""
+        return HistogramSet.from_rows, (self.owners, self.locations, self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, HistogramSet):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -351,7 +350,7 @@ def _solve_all(left, right, truth, metrics, r=None, partition=None) -> dict:
             runs.append(("a2", match_cardinality, (r,)))
         for algorithm, solve, extra in runs:
             t1 = time.perf_counter()
-            result = solve(instance, *extra) if instance is not None else MatchResult((), 0.0, algorithm)
+            result = solve(instance, *extra) if instance is not None else MatchResult((), algorithm)
             solve_ms = 1000.0 * (time.perf_counter() - t1)
             report = user_level_accuracy(result, truth, left, right)
             payload = payloads[token, algorithm] = {
@@ -486,6 +485,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
                  _rep_seed(config.seed, gi, rep), config.seed, observed[gi])
             )
     if config.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as executor:
             outcomes = list(executor.map(_rep_task, tasks))
     else:

@@ -42,8 +42,6 @@ from .metrics import MetricKind, PairDivergence, cooccurrences, shannon_entropy,
 
 ORACLE_LIMIT = 8
 
-TOTAL_WEIGHT_ATOL = 1e-9
-
 # A1 under the divergence weight takes the certified path on sets of distinct
 # rows that share at least this many locations (``metrics.cooccurrences``),
 # the dense pass's own work; below it the dense path is faster.
@@ -64,7 +62,6 @@ class MatchResult:
     """A partial injective assignment of left indices to right indices."""
 
     pairs: tuple[tuple[int, int, float], ...]
-    total_weight: float
     algorithm: str
 
     def __post_init__(self):
@@ -72,8 +69,11 @@ class MatchResult:
         rights = [j for _, j, _ in self.pairs]
         if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
             raise ValueError("matching reuses a left or right index")
-        if abs(self.total_weight - math.fsum(w for _, _, w in self.pairs)) > TOTAL_WEIGHT_ATOL:
-            raise ValueError("total_weight disagrees with the sum of pair weights")
+
+    @cached_property
+    def total_weight(self) -> float:
+        """The ``math.fsum`` of the pair weights."""
+        return math.fsum(w for _, _, w in self.pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -84,9 +84,9 @@ class BipartiteInstance:
     the one given, or ``weight_matrix`` of the sets, computed on first use."""
 
     def __init__(self, left: HistogramSet, right: HistogramSet, metric: MetricKind, weights: np.ndarray | None = None):
-        self.__dict__.update(left=left, right=right, metric=metric, explicit=weights is not None)
+        self.__dict__.update(left=left, right=right, metric=metric)
         if weights is not None:
-            self.__dict__["weights"] = self._checked(weights)
+            self.__dict__.update(weights=self._checked(weights), certified=False)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: a BipartiteInstance is immutable")
@@ -106,10 +106,10 @@ class BipartiteInstance:
     def certified(self) -> bool:
         """Whether A1 takes the certified path: under the divergence weight,
         on sets that repeat no row (checked before the count, which a release
-        then skips), above the size rule, and without a matrix given."""
+        then skips), above the size rule.  An instance given a matrix is
+        never certified."""
         return (
-            not self.explicit
-            and self.metric is MetricKind.PROPOSED
+            self.metric is MetricKind.PROPOSED
             and all(s.row_classes[0].shape[0] == len(s) for s in (self.left, self.right))
             and cooccurrences(self.left, self.right) >= CERTIFIED_MIN_COOCCURRENCES
         )
@@ -139,11 +139,8 @@ def build_instance(
 
 
 def _result(weights: np.ndarray, pairs: list[tuple[int, int]], algorithm: str) -> MatchResult:
-    triples = tuple(
-        (int(i), int(j), float(weights[i, j])) for i, j in sorted(pairs)
-    )
-    total = math.fsum(w for _, _, w in triples)
-    return MatchResult(pairs=triples, total_weight=total, algorithm=algorithm)
+    triples = tuple((int(i), int(j), float(weights[i, j])) for i, j in sorted(pairs))
+    return MatchResult(pairs=triples, algorithm=algorithm)
 
 
 def _linear_sum_assignment():
@@ -293,7 +290,7 @@ def match_bruteforce(instance: BipartiteInstance, r: int | None = None) -> Match
     if not 0 <= r <= min(n, m):
         raise InvalidCardinalityError(f"cardinality {r} outside 0..{min(n, m)}")
     if r == 0:
-        return MatchResult(pairs=(), total_weight=0.0, algorithm="BruteForce")
+        return MatchResult(pairs=(), algorithm="BruteForce")
 
     w = instance.weights
     cols = _permutation_columns(m, r)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import tracemalloc
 from collections import Counter, defaultdict
 from typing import Sequence
@@ -273,6 +274,17 @@ class TestMicroaggregate:
             tracemalloc.stop()
         assert peak < n * (4 * n + 10) * 8 / 4
 
+    def test_release_pickles_to_equal_rows(self):
+        _, released = microaggregate(synthetic_set(60, 80, 40, seed=3), 5)
+        loaded = pickle.loads(pickle.dumps(released))
+        assert loaded == released and loaded.locations == released.locations
+        for got, want in ((loaded.rows, released.rows), (loaded.row_classes[0], released.row_classes[0])):
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert loaded.row_classes[1].tobytes() == released.row_classes[1].tobytes()
+        assert loaded.row_classes[0].shape[0] < len(loaded)
+
     def test_centroid_mass_sums_to_one(self, rng):
         for _ in range(10):
             hset = random_histogram_set(rng, 12, 10)
@@ -415,6 +427,16 @@ class TestClusterPartition:
         h = H({"A": 1.0})
         with pytest.raises(ValueError):
             ClusterPartition(clusters=(("u0", "u1"), ("u1",)), centroids=(h, h))
+
+    def test_one_centroid_per_cluster(self):
+        h = H({"A": 1.0})
+        with pytest.raises(ValueError, match="one centroid required per cluster"):
+            ClusterPartition(clusters=(("u0",), ("u1",)), centroids=(h,))
+
+    def test_empty_cluster_rejected(self):
+        h = H({"A": 1.0})
+        with pytest.raises(ValueError, match="clusters must be non-empty"):
+            ClusterPartition(clusters=(("u0",), ()), centroids=(h, h))
 
     def test_counts(self):
         h = H({"A": 1.0})

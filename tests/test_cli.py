@@ -132,6 +132,19 @@ class TestMatchCommand:
             assert code == 0, err
             assert json.loads(out)["cardinality"] == expect
 
+    def test_metric_is_case_insensitive(self, tmp_path, capsys, synth_files):
+        left, right, _, _ = synth_files
+        for metric in ("L1", "l1"):
+            code, out, err = run_cli(
+                capsys,
+                "match",
+                "--left", str(left), "--right", str(right),
+                "--metric", metric,
+                "--out-pairs", str(tmp_path / f"pairs_{metric}.csv"),
+            )
+            assert code == 0, err
+        assert (tmp_path / "pairs_L1.csv").read_bytes() == (tmp_path / "pairs_l1.csv").read_bytes()
+
     def test_brute_on_small_sets(self, tmp_path, capsys):
         small_left = tmp_path / "sl.csv"
         small_right = tmp_path / "sr.csv"
@@ -705,6 +718,7 @@ class TestSolverLoading:
                     assert main(match[:-1] + [out, "--metric", metric, "--algorithm", algorithm]) == 0
             assert main(["experiment", "--config", d + "kanon.json", "--out-dir", d + "k"]) == 0
             assert "scipy.sparse" not in sys.modules, "a command loaded scipy.sparse"
+            assert "multiprocessing" not in sys.modules, "a command loaded multiprocessing"
         """)
         out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr

@@ -36,7 +36,7 @@ def point_sets(n):
 
 def result_for(mapping, weight=0.0):
     pairs = tuple((i, j, weight) for i, j in sorted(mapping.items()))
-    return MatchResult(pairs=pairs, total_weight=weight * len(pairs), algorithm="A1")
+    return MatchResult(pairs=pairs, algorithm="A1")
 
 
 class TestUserLevelAccuracy:
@@ -51,7 +51,7 @@ class TestUserLevelAccuracy:
     def test_empty_result(self):
         left, right, truth = point_sets(3)
         report = user_level_accuracy(
-            MatchResult(pairs=(), total_weight=0.0, algorithm="A1"), truth, left, right
+            MatchResult(pairs=(), algorithm="A1"), truth, left, right
         )
         assert report.n_correct == 0
         assert report.percentage_accuracy is None
@@ -146,6 +146,10 @@ class TestBootstrap:
     def test_single_value(self):
         assert bootstrap_ci([3.0]) == (3.0, 3.0)
 
+    def test_only_undefined_values(self):
+        low, high = bootstrap_ci([None, None])
+        assert math.isnan(low) and math.isnan(high)
+
 
 class TestExperimentConfig:
     def test_unknown_scenario(self):
@@ -185,6 +189,16 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"scenario": "vary_n", "bogus": 1})
 
+    def test_from_dict_requires_scenario(self):
+        with pytest.raises(ConfigError, match="config requires a 'scenario'"):
+            ExperimentConfig.from_dict({"repetitions": 2})
+
+    def test_from_file_rejects_invalid_json(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"scenario": "vary_n",')
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            ExperimentConfig.from_file(path)
+
     def test_roundtrip(self):
         cfg = ExperimentConfig(scenario="vary_t", metrics=["l1"], repetitions=3, seed=9)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
@@ -197,6 +211,14 @@ class TestExperimentConfig:
 
 
 class TestRunExperiment:
+    def test_row_lookup_of_a_missing_row(self):
+        config = ExperimentConfig("vary_n", repetitions=1, params={"n_values": [4], "t": 20, "alphabet_size": 10})
+        report = run_experiment(config)
+        assert report.row(4, "proposed", "a1").repetitions == 1
+        for key in ((5, "proposed", "a1"), (4, "l1", "a1"), (4, "proposed", "a2(4)")):
+            with pytest.raises(KeyError):
+                report.row(*key)
+
     def test_vary_n_strictly_decreasing(self):
         cfg = ExperimentConfig(
             scenario="vary_n",

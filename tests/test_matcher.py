@@ -201,6 +201,11 @@ class TestBruteForce:
         with pytest.raises(TooLargeForOracleError):
             match_bruteforce(instance_from_matrix(w))
 
+    @pytest.mark.parametrize("r", [-1, 3])
+    def test_cardinality_out_of_range(self, r):
+        with pytest.raises(InvalidCardinalityError):
+            match_bruteforce(instance_from_matrix([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]), r)
+
     def test_exhaustive_semantics(self, rng):
         # cross-check the oracle itself against a raw itertools enumeration
         for _ in range(20):
@@ -229,6 +234,10 @@ class TestGreedy:
         assert {i: j for i, j, _ in res.pairs} == {0: 0, 1: 1}
         assert res.total_weight == pytest.approx(11.0)
         assert match_bruteforce(inst).total_weight == pytest.approx(4.0)
+
+    def test_more_left_than_right_rejected(self):
+        with pytest.raises(SwapSidesError):
+            match_greedy(instance_from_matrix([[0.0], [1.0]]))
 
     def test_one_by_one_matching(self, rng):
         w = rng.uniform(0, 1, size=(1, 7))
@@ -261,6 +270,12 @@ class TestGeneralizedLogLikelihood:
         with pytest.raises(MetricMismatchError):
             generalized_log_likelihood(inst, res, 10)
 
+    @pytest.mark.parametrize("sample_count", [0, -3])
+    def test_non_positive_sample_count(self, sample_count):
+        inst = build_instance(point_set(["A"]), point_set(["A"], labeled=True), MetricKind.PROPOSED)
+        with pytest.raises(ValueError, match="sample_count must be positive"):
+            generalized_log_likelihood(inst, match_min_weight(inst), sample_count)
+
     def test_linear_in_sample_count(self, rng):
         left = random_histogram_set(rng, 3, 5)
         right = random_histogram_set(rng, 3, 5)
@@ -281,11 +296,7 @@ class TestGeneralizedLogLikelihood:
             results = []
             for perm in itertools.permutations(range(4)):
                 pairs = tuple((i, perm[i], float(w[i, perm[i]])) for i in range(4))
-                res = MatchResult(
-                    pairs=pairs,
-                    total_weight=math.fsum(p[2] for p in pairs),
-                    algorithm="BruteForce",
-                )
+                res = MatchResult(pairs=pairs, algorithm="BruteForce")
                 results.append((perm, res.total_weight, generalized_log_likelihood(inst, res, 25)))
             best_weight = min(results, key=lambda t: t[1])
             best_likelihood = max(results, key=lambda t: t[2])
@@ -295,16 +306,18 @@ class TestGeneralizedLogLikelihood:
 class TestMatchResult:
     def test_duplicate_index_rejected(self):
         with pytest.raises(ValueError):
-            MatchResult(pairs=((0, 0, 1.0), (0, 1, 1.0)), total_weight=2.0, algorithm="A1")
+            MatchResult(pairs=((0, 0, 1.0), (0, 1, 1.0)), algorithm="A1")
         with pytest.raises(ValueError):
-            MatchResult(pairs=((0, 1, 1.0), (1, 1, 1.0)), total_weight=2.0, algorithm="A1")
+            MatchResult(pairs=((0, 1, 1.0), (1, 1, 1.0)), algorithm="A1")
 
     def test_total_must_match(self):
-        with pytest.raises(ValueError):
-            MatchResult(pairs=((0, 0, 1.0),), total_weight=2.0, algorithm="A1")
+        weights = (0.1, 1e16, 0.2, -1e16)
+        res = MatchResult(pairs=tuple((i, i, w) for i, w in enumerate(weights)), algorithm="A1")
+        assert res.total_weight == math.fsum(weights) == 0.30000000000000004
+        assert MatchResult(pairs=(), algorithm="A1").total_weight == 0.0
 
     def test_len_and_mapping(self):
-        res = MatchResult(pairs=((0, 1, 0.5), (1, 0, 0.25)), total_weight=0.75, algorithm="A1")
+        res = MatchResult(pairs=((0, 1, 0.5), (1, 0, 0.25)), algorithm="A1")
         assert len(res) == 2
         assert {i: j for i, j, _ in res.pairs} == {0: 1, 1: 0}
 

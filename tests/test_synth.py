@@ -91,6 +91,12 @@ class TestGeneratePair:
         for h in right.histograms:
             assert h.sample_count == 60
 
+    @pytest.mark.parametrize("t1, t2", [(0, 10), (10, 0), (-5, 10)])
+    def test_non_positive_length(self, t1, t2):
+        pop = sample_population(PopulationSpec(4, 20, 0.2, seed=3))
+        with pytest.raises(ValueError, match="string lengths must be positive"):
+            generate_pair(pop, t1, t2, OverlapSpec.full(4), seed=4)
+
     def test_zero_overlap(self):
         pop = sample_population(PopulationSpec(10, 20, 0.2, seed=3))
         _, _, truth = generate_pair(pop, 10, 10, OverlapSpec(4, 6, 0), seed=4)
