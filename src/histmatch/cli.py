@@ -146,8 +146,8 @@ def _cmd_synth(args) -> int:
         concentration=args.alpha,
         seed=args.seed,
     )
-    distributions = sample_population(spec)
-    left, right, truth = generate_pair(distributions, args.t1, args.t2, overlap, seed=args.seed)
+    # No name keeps the population, so it is freed once the pair is drawn.
+    left, right, truth = generate_pair(sample_population(spec), args.t1, args.t2, overlap, seed=args.seed)
     hio.write_histogram_set(left, args.out_left)
     hio.write_histogram_set(right, args.out_right)
     if args.out_truth:
@@ -249,6 +249,8 @@ def main(argv: list[str] | None = None) -> int:
         kind, message = type(exc).__name__, str(exc)
     except ValueError as exc:
         kind, message = "ValueError", str(exc)
+    except MemoryError as exc:
+        kind, message = "MemoryError", str(exc) or "out of memory"
     _emit_error(kind, message)
     return 1
 

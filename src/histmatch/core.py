@@ -392,12 +392,16 @@ def union_rows(first: HistogramSet, second: HistogramSet) -> tuple[PackedRows, P
 
 
 def build_histogram(events: Iterable[str]) -> Histogram:
-    """Empirical distribution of a sequence of location ids (count / length)."""
+    """Empirical distribution of a sequence of location ids (count / length).
+
+    Locations with equal counts share one float object: t draws give far
+    fewer distinct counts than locations."""
     counts = Counter(events)
     t = sum(counts.values())
     if t == 0:
         raise EmptyStringError("cannot build a histogram from an empty sequence")
-    mass = {loc: c / t for loc, c in counts.items()}
+    share = {c: c / t for c in set(counts.values())}
+    mass = {loc: share[c] for loc, c in counts.items()}
     return Histogram(mass=mass, sample_count=t)
 
 

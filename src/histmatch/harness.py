@@ -430,10 +430,9 @@ def _rep_task(args: tuple) -> dict:
     else:
         spec = OverlapSpec.full(value if scenario == "vary_n" else params["n_users"])
     t = value if scenario == "vary_t" else params["t"]
-    pop = sample_population(
-        PopulationSpec(spec.population_needed, params["alphabet_size"], params["concentration"], rep_seed)
-    )
-    left, right, truth = generate_pair(pop, t, t, spec, rep_seed)
+    # No name keeps the population, so it is freed once the pair is drawn.
+    population_spec = PopulationSpec(spec.population_needed, params["alphabet_size"], params["concentration"], rep_seed)
+    left, right, truth = generate_pair(sample_population(population_spec), t, t, spec, rep_seed)
 
     if scenario == "overlap":
         return _solve_all(left, right, truth, metrics, r=value)

@@ -56,7 +56,7 @@ class PopulationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # A NaN or infinite concentration draws all-NaN rows of equal bytes, redrawn forever.
+        # A NaN or infinite concentration draws all-NaN rows, each an exact repeat of the first.
         if self.n_users <= 0 or self.alphabet_size <= 0 or not 0 < self.concentration < math.inf:
             raise ValueError("population parameters must be positive and finite")
         if self.n_users > 1 and self.alphabet_size < 2:
@@ -96,20 +96,41 @@ def location_ids(alphabet_size: int) -> list[str]:
 
 
 def sample_population(spec: PopulationSpec) -> list[np.ndarray]:
-    """Draw pairwise-distinct habit distributions on the probability simplex."""
+    """Draw pairwise-distinct habit distributions on the probability simplex.
+
+    Exact repeats are redrawn.  At an extreme concentration every draw is the
+    uniform vector, or one of the M one-hot vectors, so N distinct rows may
+    not exist: ``InvalidPopulationError`` is raised once max(2^18, 64 M)
+    draws in a row have repeated a row.  While fewer than M one-hot vectors
+    are drawn, each draw is new with probability at least 1/M, so a run of
+    64 M repeats has probability below e^-64; a stream that finds a new row
+    once in 20 000 draws runs 2^18 repeats with probability about e^-13.
+    """
     rng = seeded_generator(spec.seed, _SALT_POPULATION)
     alpha = np.full(spec.alphabet_size, spec.concentration)
+    patience = max(2**18, 64 * spec.alphabet_size)
     out: list[np.ndarray] = []
-    seen: set[bytes] = set()
+    # The rows by the hash of their bytes, compared byte for byte only within
+    # a bucket; no row's bytes are kept.
+    buckets: dict[int, list[np.ndarray]] = {}
+    fruitless = 0
     # A batch of rows consumes the stream as that many single draws do, so a
     # pass that draws what is still missing yields the same rows.
     while len(out) < spec.n_users:
         for p in rng.dirichlet(alpha, size=spec.n_users - len(out)):
             key = p.tobytes()
-            if key in seen:  # exact collision: redraw
+            bucket = buckets.setdefault(hash(key), [])
+            if any(key == q.tobytes() for q in bucket):  # exact collision: redraw
+                fruitless += 1
                 continue
-            seen.add(key)
+            fruitless = 0
+            bucket.append(p)
             out.append(p)
+        if fruitless >= patience:
+            raise InvalidPopulationError(
+                f"the last {fruitless} draws repeated earlier rows: only {len(out)} of {spec.n_users} distinct users "
+                f"drawn at concentration {spec.concentration!r} over {spec.alphabet_size} locations"
+            )
     return out
 
 

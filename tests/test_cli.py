@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -644,6 +645,76 @@ class TestNonFiniteConcentration:
         assert json.loads(out.stderr) == {
             "error": "ConfigError", "message": f"concentration must be positive and finite, got {float(value)!r}",
         }
+
+
+class TestExhaustedConcentration:
+    """At --alpha 1e60 every Dirichlet draw is the uniform vector, and at
+    1e-300 one of the ten one-hot vectors, so 20 distinct users were redrawn
+    forever.  Each command runs in a subprocess so that a hang fails the test
+    instead of the suite."""
+
+    _run = TestOneLocationAlphabet._run
+
+    @pytest.mark.parametrize("alpha, drawn", [("1e60", 1), ("1e-300", 10)])
+    def test_synth(self, tmp_path, alpha, drawn):
+        out = self._run("synth", "--users", "20", "--alphabet", "10", "--alpha", alpha,
+                        "--out-left", tmp_path / "l.csv", "--out-right", tmp_path / "r.csv")
+        assert out.returncode == 1
+        error = json.loads(out.stderr)
+        assert error["error"] == "InvalidPopulationError"
+        assert f"only {drawn} of 20 distinct users" in error["message"]
+        assert out.stdout == "" and not (tmp_path / "l.csv").exists()
+
+    def test_experiment(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "scenario": "vary_n", "repetitions": 1,
+            "params": {"n_values": [20], "alphabet_size": 10, "concentration": 1e300},
+        }))
+        out = self._run("experiment", "--config", config, "--out-dir", tmp_path / "o")
+        assert out.returncode == 1
+        assert json.loads(out.stderr)["error"] == "InvalidPopulationError"
+
+
+class TestMemoryError:
+    class _ArrayMemoryError(MemoryError):
+        """What numpy raises when an array does not fit."""
+
+    @pytest.mark.parametrize("exc, message", [
+        (_ArrayMemoryError("Unable to allocate 7.45 GiB for an array"), "Unable to allocate 7.45 GiB for an array"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_one_json_error(self, tmp_path, capsys, monkeypatch, exc, message):
+        def exhausted(spec):
+            raise exc
+
+        monkeypatch.setattr(cli, "sample_population", exhausted)
+        code, out, err = run_cli(capsys, "synth", "--users", "3",
+                                 "--out-left", str(tmp_path / "l.csv"), "--out-right", str(tmp_path / "r.csv"))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "MemoryError", "message": message}
+
+
+class TestSynthMemory:
+    def test_population_freed_before_the_sets_are_written(self, tmp_path, capsys, monkeypatch):
+        batches, alive = [], []
+        sample, write = cli.sample_population, hio.write_histogram_set
+
+        def sample_and_watch(spec):
+            population = sample(spec)
+            batches.append(weakref.ref(population[0].base))
+            return population
+
+        def write_and_check(*args, **kwargs):
+            alive.append(batches[-1]() is not None)
+            return write(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample_population", sample_and_watch)
+        monkeypatch.setattr(hio, "write_histogram_set", write_and_check)
+        code, _, err = run_cli(capsys, "synth", "--users", "8", "--alphabet", "20", "--t1", "30", "--t2", "30",
+                               "--out-left", str(tmp_path / "l.csv"), "--out-right", str(tmp_path / "r.csv"))
+        assert code == 0, err
+        assert alive == [False, False]
 
 
 class TestSolverLoading:

@@ -65,6 +65,19 @@ class TestBuildHistogram:
         with pytest.raises(EmptyStringError):
             build_histogram([])
 
+    def test_one_float_object_per_distinct_count(self, rng):
+        events = ["e", "a", "a", "a", "b", "c", "b", "b", "d", "e"]
+        h = build_histogram(events)
+        assert list(h.mass) == ["e", "a", "b", "c", "d"]
+        assert h.mass == {"e": 0.2, "a": 0.3, "b": 0.3, "c": 0.1, "d": 0.1}
+        assert h.mass["a"] is h.mass["b"] and h.mass["c"] is h.mass["d"]
+        # t = 200 draws over 1000 locations: far fewer counts than locations
+        string = [f"L{i}" for i in rng.integers(0, 1000, size=200)]
+        h = build_histogram(string)
+        counts = {s: string.count(s) for s in h.mass}
+        assert len({id(v) for v in h.mass.values()}) == len(set(counts.values())) < h.support_count
+        assert all(h.mass[s] == c / 200 for s, c in counts.items())
+
     @given(st.lists(st.sampled_from("abcde"), min_size=1, max_size=50), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
     def test_permutation_invariant(self, events, seed):

@@ -2,11 +2,13 @@ import csv
 import json
 import math
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from histmatch import harness
 from histmatch.anonymize import ClusterPartition, microaggregate
 from histmatch.core import GroundTruth, Histogram, HistogramSet
 from histmatch.errors import ConfigError, HistmatchError, InvalidCoordinateError, PartitionCoverageError
@@ -208,6 +210,31 @@ class TestExperimentConfig:
         merged = cfg.merged_params()
         assert merged["t"] == 99
         assert merged["n_values"] == [10, 50, 100]
+
+
+class TestRepetitionMemory:
+    @pytest.mark.parametrize("scenario, params", [
+        ("vary_n", {"n_values": [12]}),
+        ("overlap", {"r_values": [6], "n_left": 8, "n_right": 10}),
+        ("kanon", {"k_values": [3], "n_users": 12}),
+    ])
+    def test_population_freed_before_weights(self, monkeypatch, scenario, params):
+        batches, alive = [], []
+        sample, build = harness.sample_population, harness.build_instance
+
+        def sample_and_watch(spec):
+            population = sample(spec)
+            batches.append(weakref.ref(population[0].base))
+            return population
+
+        def build_and_check(*args, **kwargs):
+            alive.append(batches[-1]() is not None)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "sample_population", sample_and_watch)
+        monkeypatch.setattr(harness, "build_instance", build_and_check)
+        run_experiment(ExperimentConfig(scenario, metrics=["proposed", "l1"], repetitions=2, params=params))
+        assert len(batches) == 2 and alive == [False] * 4
 
 
 class TestRunExperiment:

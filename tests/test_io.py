@@ -480,6 +480,16 @@ class TestReaderMatchesOracle:
         for odd in ("u4,a\r,1.0", "u4,a,1.0\r"):
             assert_reads_like_oracle(_write(tmp_path / "cr.csv", end.join(["owner,location,probability", "u1,a,1.0", odd]) + end))
 
+    def test_empty_owner_and_location_fields(self, tmp_path):
+        # both readers take an empty field as the owner or location ''
+        plain = _write(tmp_path / "p.csv", "owner,location,probability\n,x,1\nu1,,0.5\nu1,y,0.5\n")
+        quoted = _write(tmp_path / "q.csv", 'owner,location,probability\n"",x,1\n"u1","",0.5\nu1,y,0.5\n')
+        for path in (plain, quoted):
+            assert_reads_like_oracle(path)
+            hset = hio.read_histogram_set(path)
+            assert hset.owners == ("", "u1") and hset.locations == ("x", "", "y")
+            assert hset.histogram("").mass == {"x": 1.0}
+
     def test_quoted_fields_and_whitespace(self, tmp_path):
         text = (
             "owner,location,probability\n"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,31 @@ class TestBatchedDirichlet:
         assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
         assert stub.served[3].tobytes() == stub.served[0].tobytes()
         assert [p.tobytes() for p in got] == [p.tobytes() for i, p in enumerate(stub.served) if i != 3]
+
+
+class TestExhaustedDraws:
+    """At a huge concentration every Dirichlet draw is the uniform vector, at
+    a tiny one one of the M one-hot vectors.  The command-line tests run the
+    inputs that once redrew forever, in a subprocess."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_draws_every_one_hot_row(self, seed):
+        # N = M: the last rows come after runs of repeats, but they exist.
+        pop = sample_population(PopulationSpec(40, 40, 1e-300, seed=seed))
+        assert sorted(int(p.argmax()) for p in pop) == list(range(40))
+        assert all(p.max() == 1.0 for p in pop)
+
+
+class TestPopulationMemory:
+    def test_peak_near_population_bytes(self):
+        sample_population(PopulationSpec(2, 5, 0.1))  # one-time allocations, outside the trace
+        tracemalloc.start()
+        try:
+            pop = sample_population(PopulationSpec(1000, 500, 0.1, seed=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * sum(p.nbytes for p in pop)
 
 
 class TestInverseCdfDraws:
