@@ -195,7 +195,7 @@ def _certified_min_weight(instance: BipartiteInstance) -> MatchResult | None:
     w[rows, first] = at_first
     i, j = np.nonzero(w < at_first[:, None])
     w[i, j] = divergence.weights(i, j)
-    known = np.union1d(rows * m + first, i * m + j)
+    known = _union(rows * m + first, i * m + j)
     for _ in range(CERTIFIED_ROUNDS):
         r, c = _linear_sum_assignment()(w)
         landed = ~np.isin(r * m + c, known, assume_unique=True)
@@ -205,14 +205,23 @@ def _certified_min_weight(instance: BipartiteInstance) -> MatchResult | None:
         at_landed = divergence.weights(i, j)
         # Row by row, so that no temporary spans more than one row of ``w``.
         below = [k * m + np.flatnonzero(w[k] <= w[k, l]) for k, l in zip(i, j)]
-        new = np.union1d(np.concatenate(below), _near_tight(w, c, float((at_landed - w[i, j]).max())))
+        new = _union(*below, _near_tight(w, c, float((at_landed - w[i, j]).max())))
         w[i, j] = at_landed
-        known = np.union1d(known, i * m + j)
+        known = _union(known, i * m + j)
         new = np.setdiff1d(new, known, assume_unique=True)
         i, j = np.divmod(new, m)
         w[i, j] = divergence.weights(i, j)
-        known = np.union1d(known, new)
+        known = _union(known, new)
     return None
+
+
+def _union(*parts: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of the arrays, as ``np.union1d`` returns
+    them, without the ``np.unique`` that loads ``numpy.ma`` on first use."""
+    merged = np.sort(np.concatenate(parts))
+    keep = np.ones(merged.size, dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
 
 
 def _near_tight(w: np.ndarray, cols: np.ndarray, slack: float) -> np.ndarray:
@@ -257,18 +266,33 @@ def match_cardinality(instance: BipartiteInstance, r: int) -> MatchResult:
     d sits below the smallest weight by more than the largest weight
     magnitude, so the gap survives rounding at any scale (a fixed gap of 1
     rounds away once the weights reach 2**53).
+
+    scipy's solver takes rows in index order, and a row that finds every
+    dummy column held must displace a row holding one.  So the padded matrix
+    lists first the n - r rows whose smallest weight is largest, in
+    descending order, ties by index, then every other row in index order:
+    the rows likeliest to end on a dummy take the dummy columns before any
+    other row searches.  Relabeling rows leaves the problem and its optimum
+    unchanged, so the argument above stands, but where optima tie exactly,
+    which one comes back depends on that order.  At r = n no row moves.
     """
     w = instance.weights
     n, m = w.shape
     if not 1 <= r <= min(n, m):
         raise InvalidCardinalityError(f"cardinality {r} outside 1..{min(n, m)}")
     lo, hi = float(w.min()), float(w.max())
+    row_min = w.min(axis=1)
+    first = np.argsort(-row_min, kind="stable")[: n - r]
+    rest = np.ones(n, dtype=bool)
+    rest[first] = False
+    order = np.concatenate([first, np.flatnonzero(rest)])
     padded = np.empty((n, m + n - r))
-    padded[:, :m] = w
+    for k, i in enumerate(order):  # row by row: ``w[order]`` would copy all of w
+        padded[k, :m] = w[i]
     padded[:, m:] = lo - max(hi, -lo) - 1.0
     rows, cols = _linear_sum_assignment()(padded)
     real = cols < m
-    return _result(w, list(zip(rows[real], cols[real])), f"A2({r})")
+    return _result(w, list(zip(order[rows[real]], cols[real])), f"A2({r})")
 
 
 @lru_cache(maxsize=None)

@@ -742,6 +742,7 @@ class TestSolverLoading:
             assert len(calls) == 1 and calls[0] is not None, "a1 did not certify its matching"
             assert main(match + ["--algorithm", "a2:3"]) == 0
             assert main(match + ["--algorithm", "greedy"]) == 0
+            assert "numpy.ma" not in sys.modules, "a match loaded numpy.ma"
             assert main(["experiment", "--config", d + "config.json", "--out-dir", d + "o"]) == 0
             assert "scipy.optimize" not in sys.modules, "a command loaded scipy.optimize"
             import scipy.optimize

@@ -3,10 +3,12 @@ import math
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from histmatch.anonymize import microaggregate
 from histmatch.core import Histogram, HistogramSet
 from histmatch.errors import (
     InvalidCardinalityError,
@@ -16,6 +18,8 @@ from histmatch.errors import (
 )
 from histmatch.matcher import (
     MatchResult,
+    _linear_sum_assignment,
+    _result,
     build_instance,
     generalized_log_likelihood,
     match_bruteforce,
@@ -24,6 +28,7 @@ from histmatch.matcher import (
     match_min_weight,
 )
 from histmatch.metrics import MAX_DIVERGENCE_WEIGHT, MetricKind, pair_distance
+from histmatch.synth import OverlapSpec, PopulationSpec, generate_pair, sample_population
 from tests.conftest import instance_from_matrix, random_histogram_set
 
 
@@ -122,6 +127,25 @@ class TestMatchMinWeight:
             assert a1.total_weight == pytest.approx(oracle.total_weight, abs=1e-9)
 
 
+def padded_in_index_order(w, r):
+    """A2's padded solve with the rows in index order: the reference that the
+    relabeled solve must agree with."""
+    n, m = w.shape
+    lo, hi = float(w.min()), float(w.max())
+    padded = np.empty((n, m + n - r))
+    padded[:, :m] = w
+    padded[:, m:] = lo - max(hi, -lo) - 1.0
+    rows, cols = _linear_sum_assignment()(padded)
+    real = cols < m
+    return _result(w, list(zip(rows[real], cols[real])), f"A2({r})")
+
+
+def overlap_sets(n_left, n_right, shared, alphabet, t, seed):
+    population = sample_population(PopulationSpec(n_left + n_right - shared, alphabet, 1.0, seed))
+    left, right, _ = generate_pair(population, t, t, OverlapSpec(n_left, n_right, shared), seed)
+    return left, right
+
+
 class TestMatchCardinality:
     def test_single_edge(self):
         # brute force over all 4 single edges
@@ -182,6 +206,47 @@ class TestMatchCardinality:
             inst = instance_from_matrix(w)
             totals = [match_cardinality(inst, r).total_weight for r in range(1, 7)]
             assert all(a <= b + 1e-12 for a, b in zip(totals, totals[1:]))
+
+    @staticmethod
+    def _agrees_with_index_order(left, right):
+        for metric in MetricKind:
+            inst = build_instance(left, right, metric)
+            n, m = inst.weights.shape
+            low = min(n, m)
+            for r in sorted({1, low // 4, low // 2, low - 1, low} - {0}):
+                a2 = match_cardinality(inst, r)
+                reference = padded_in_index_order(inst.weights, r)
+                assert len(a2) == r
+                assert a2.total_weight == pytest.approx(reference.total_weight, abs=1e-9)
+                if r == n:
+                    assert a2.pairs == reference.pairs
+
+    @pytest.mark.parametrize("n_left, n_right, seed", [(40, 60, 1), (60, 40, 2), (50, 50, 3)])
+    def test_row_order_keeps_the_optimum(self, n_left, n_right, seed):
+        self._agrees_with_index_order(*overlap_sets(n_left, n_right, 30, 300, 40, seed))
+
+    def test_row_order_keeps_the_optimum_on_a_release(self):
+        left, right = overlap_sets(45, 60, 45, 300, 40, 4)
+        self._agrees_with_index_order(microaggregate(left, 5)[1], right)
+
+    @pytest.mark.parametrize("n_left, n_right", [(30, 45), (45, 30)])
+    def test_row_order_keeps_the_optimum_on_tied_histograms(self, n_left, n_right):
+        # t = 3 over 6 locations: few distinct histograms, so most weights tie
+        left, right = overlap_sets(n_left, n_right, 25, 6, 3, 5)
+        assert left.row_classes[0].shape[0] < n_left
+        self._agrees_with_index_order(left, right)
+
+    def test_fill_makes_no_copy_of_the_weights(self):
+        inst = build_instance(*overlap_sets(400, 400, 200, 1000, 200, 6), MetricKind.PROPOSED)
+        n, m = inst.weights.shape
+        r = 200
+        tracemalloc.start()
+        try:
+            match_cardinality(inst, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * (m + n - r) + 8 * n * m // 4
 
 
 class TestBruteForce:
