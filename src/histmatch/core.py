@@ -36,9 +36,9 @@ EARTH_RADIUS_M = 6_371_000.0
 
 
 def _scipy_extension(name: str):
-    """scipy's compiled module ``name`` loaded without its package and
-    registered under its own name, so that a later import of the package
-    binds this very module; a module that is not compiled is imported as usual."""
+    """scipy's compiled module ``name`` loaded without its package and registered under its own name,
+    so that a later import of the package binds this very module (though not as the package's
+    attribute); a module that is not compiled is imported as usual."""
     module = sys.modules.get(name)
     if module is None:
         import scipy
@@ -55,9 +55,9 @@ def _scipy_extension(name: str):
 
 @dataclass(frozen=True)
 class EventLog:
-    """Timestamped observations of users at locations, as three parallel
-    columns: event i is ``users[i]`` at ``locations[i]`` at ``timestamps[i]``
-    (seconds since the epoch, UTC).  Ordering carries no meaning."""
+    """Timestamped observations of users at locations, as three parallel columns: event i is
+    ``users[i]`` at ``locations[i]`` at ``timestamps[i]`` (seconds since the epoch, UTC), checked
+    once for equal lengths and non-negative timestamps.  Ordering carries no meaning."""
 
     users: tuple[str, ...]
     timestamps: tuple[float, ...]
@@ -75,9 +75,9 @@ class EventLog:
 
 @dataclass(frozen=True, eq=False)
 class PackedRows:
-    """Rows of ``width`` columns packed as in CSR: row i stores the masses
-    ``data[indptr[i]:indptr[i + 1]]`` at the columns ``indices`` there.  The
-    arrays are the ones given, made read-only."""
+    """Rows of ``width`` columns packed as in CSR: row i stores the masses ``data[indptr[i]:indptr[i + 1]]``
+    at the columns ``indices`` there.  The arrays are the ones given, made read-only, once checked: ``indptr``
+    starts at 0, never decreases and ends at the number of entries, and every column lies in [0, width)."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -117,13 +117,13 @@ class PackedRows:
         return PackedRows(indptr, self.indices[at], self.data[at], self.width)
 
     def sorted(self) -> PackedRows:
-        """The rows with each one's entries in ascending column, in new
-        arrays; a column twice in one row is a ``ValueError``."""
+        """The rows with each one's entries in ascending column, in new arrays: a copy when they already
+        ascend, else two stable radix sorts of narrow keys, by column and then by row.  A column twice in
+        one row is a ``ValueError``."""
         row = self.row_of()
         new_row = row[1:] != row[:-1]
         if np.all((self.indices[1:] > self.indices[:-1]) | new_row):
             return PackedRows(self.indptr, self.indices.copy(), self.data.copy(), self.width)
-        # Stable radix sorts of narrow keys, by column and then by row.
         order = np.argsort(self.indices.astype(np.min_scalar_type(self.width - 1)), kind="stable")
         order = order[np.argsort(row[order], kind="stable")]
         indices = self.indices[order]
@@ -269,8 +269,9 @@ class HistogramSet:
 
     @cached_property
     def rows(self) -> PackedRows:
-        """One row per entry over ``locations``, in set order, each row's
-        columns (indices into ``locations``) in its map's key order.  Read-only."""
+        """One row per entry over ``locations``, in set order, each row's columns (indices into
+        ``locations``) in its map's key order; read-only.  The CSV writer, the anonymizer and the
+        harness read it."""
         objects, of_object = self._object_rows()
         return objects if objects.shape[0] == len(of_object) else objects.take(of_object)
 
@@ -288,9 +289,9 @@ class HistogramSet:
         return distinct, of_row
 
     def _object_rows(self) -> tuple[PackedRows, np.ndarray]:
-        """New rows over ``locations``, one per distinct histogram object
-        in order of first occurrence, each in its map's key order, and each
-        entry's row among them.  Each object's map is read once."""
+        """New rows over ``locations``, one per distinct histogram object in order of first occurrence,
+        each in its map's key order, and each entry's row among them.  Each object's map is read once
+        per call; the result is not kept, so a set that needs both ``rows`` and ``row_classes`` calls it twice."""
         hists = self.histograms
         objects = {id(h): h for h in hists}
         position = dict(zip(objects, range(len(objects))))
@@ -318,14 +319,14 @@ def _in_first_use_order(columns: np.ndarray, width: int) -> bool:
 
 
 def _pack(rows: PackedRows) -> tuple[PackedRows, np.ndarray]:
-    """``rows`` with each row's columns ascending, one row per distinct row,
-    in order of first occurrence, and each row's index among them.  With
-    ascending columns and positive, finite masses, two rows' bytes are equal
-    exactly when their maps are.  The arrays returned are read-only."""
+    """``rows`` with each row's columns ascending, one row per distinct row, in order of first occurrence,
+    and each row's index among them: the one place that decides which entries share a row.  With
+    ascending columns and positive, finite masses, two rows' bytes are equal exactly when their maps are,
+    so a release packs one row per cluster whether its owners share a centroid object or were read from
+    CSV.  Each row's first row of equal bytes is looked up by the hash of its bytes and compared with the
+    rows of that hash; no row's bytes are kept.  The arrays returned are read-only."""
     rows = rows.sorted()
     ptr, indices, data = rows.indptr.tolist(), rows.indices, rows.data
-    # Each row's first row of equal bytes, looked up by the hash of its bytes
-    # and compared with the rows of that hash; no row's bytes are kept.
     buckets: dict[int, list[int]] = {}
     of_first = np.empty(rows.shape[0], dtype=np.intp)
     for i, (a, b) in enumerate(zip(ptr, ptr[1:])):
@@ -346,16 +347,18 @@ def _pack(rows: PackedRows) -> tuple[PackedRows, np.ndarray]:
 def row_sums_off(ptr: np.ndarray, data: np.ndarray, atol: float) -> list[tuple[int, float]]:
     """Each row of the packed masses ``data``, row i at ``ptr[i]:ptr[i + 1]``,
     whose ``math.fsum`` is farther than ``atol`` from 1, with that sum, in row
-    order.  Rows must be non-empty.
+    order.  Rows must be non-empty and masses positive.
 
     The float64 sum of a row's n positive masses lies within about n 2^-53
     times itself of the exact sum, so a row is summed exactly only when its
-    rounded sum misses 1 by more than ``atol`` less twice that margin.
+    rounded sum misses 1 by more than ``atol`` less twice that margin.  A row
+    whose float64 sum overflows sums to ``inf``, where ``math.fsum`` raises.
     """
-    sums = np.add.reduceat(data, ptr[:-1]) if data.size else np.zeros(len(ptr) - 1)
+    with np.errstate(over="ignore"):
+        sums = np.add.reduceat(data, ptr[:-1]) if data.size else np.zeros(len(ptr) - 1)
     margin = np.diff(ptr) * np.finfo(np.float64).eps * sums
     near = np.flatnonzero(~(np.abs(sums - 1.0) + margin <= atol)).tolist()
-    totals = (math.fsum(data[ptr[i] : ptr[i + 1]].tolist()) for i in near)
+    totals = (math.fsum(data[ptr[i] : ptr[i + 1]].tolist()) if sums[i] < math.inf else math.inf for i in near)
     return [(i, total) for i, total in zip(near, totals) if not abs(total - 1.0) <= atol]
 
 
@@ -382,7 +385,7 @@ def union_rows(first: HistogramSet, second: HistogramSet) -> tuple[PackedRows, P
     """Both sets' distinct rows (``HistogramSet.row_classes``) over the union
     of their locations, ``first``'s and then the ones only ``second`` uses:
     ``first``'s own arrays, and ``second``'s ``data`` and ``indptr`` with each
-    column remapped, so its rows need not ascend in the union."""
+    column remapped, so its rows need not ascend in the union, an order no kernel reads."""
     column = dict(zip(first.locations, range(len(first.locations))))
     for loc in second.locations:
         column.setdefault(loc, len(column))
@@ -392,7 +395,7 @@ def union_rows(first: HistogramSet, second: HistogramSet) -> tuple[PackedRows, P
 
 
 def build_histogram(events: Iterable[str]) -> Histogram:
-    """Empirical distribution of a sequence of location ids (count / length).
+    """Empirical distribution of a sequence of location ids (``Counter`` count / length).
 
     Locations with equal counts share one float object: t draws give far
     fewer distinct counts than locations."""
@@ -407,7 +410,7 @@ def build_histogram(events: Iterable[str]) -> Histogram:
 
 def split_by_period(log: EventLog, boundary: float) -> tuple[EventLog, EventLog]:
     """Split into events strictly before the boundary and events at or after
-    it, each half in log order."""
+    it, each half in log order: one boolean mask, applied to each column by ``compress``."""
     before = [t < boundary for t in log.timestamps]
     after = [not b for b in before]
     columns = (log.users, log.timestamps, log.locations)

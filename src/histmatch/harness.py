@@ -264,45 +264,28 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentRow:
+    """A ``results.csv`` row; a cell is its field's ``format`` metadata applied, or ``str``; None is empty."""
+
     scenario: str
     param: str
     value: object
     metric: str
     algorithm: str
     repetitions: int
-    mean_user_level_pct: float | None
-    ci90_low: float
-    ci90_high: float
-    mean_percentage_accuracy: float | None
-    mean_correct: float
-    mean_cluster_level_pct: float | None = None
-    mean_information_loss: float | None = None
+    mean_user_level_pct: float | None = field(metadata={"format": "{:.1f}"})
+    ci90_low: float = field(metadata={"format": "{:.1f}"})
+    ci90_high: float = field(metadata={"format": "{:.1f}"})
+    mean_percentage_accuracy: float | None = field(metadata={"format": "{:.1f}"})
+    mean_correct: float = field(metadata={"format": "{:.2f}"})
+    mean_cluster_level_pct: float | None = field(default=None, metadata={"format": "{:.1f}"})
+    mean_information_loss: float | None = field(default=None, metadata={"format": "{:.4f}"})
     kanon_ok: bool | None = None
-    mean_weights_ms: float = 0.0
-    mean_solve_ms: float = 0.0
+    mean_weights_ms: float = field(default=0.0, metadata={"format": "{:.3f}"})
+    mean_solve_ms: float = field(default=0.0, metadata={"format": "{:.3f}"})
 
 
-_ROW_FIELDS = [f.name for f in fields(ExperimentRow)]
-
-
-# one decimal place for percentages in emitted files
-_ROW_FORMATS = {
-    "mean_user_level_pct": "{:.1f}",
-    "ci90_low": "{:.1f}",
-    "ci90_high": "{:.1f}",
-    "mean_percentage_accuracy": "{:.1f}",
-    "mean_cluster_level_pct": "{:.1f}",
-    "mean_information_loss": "{:.4f}",
-    "mean_correct": "{:.2f}",
-    "mean_weights_ms": "{:.3f}",
-    "mean_solve_ms": "{:.3f}",
-}
-
-
-def _cell(name: str, value):
-    if value is None:
-        return ""
-    return _ROW_FORMATS[name].format(value) if name in _ROW_FORMATS else value
+def _cell(f, value) -> str:
+    return "" if value is None else f.metadata.get("format", "{}").format(value)
 
 
 @dataclass
@@ -315,8 +298,8 @@ class ExperimentReport:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         results = out / "results.csv"
-        cells = ([_cell(f, getattr(row, f)) for f in _ROW_FIELDS] for row in self.rows)
-        hio.write_rows(results, _ROW_FIELDS, cells)
+        cells = ([_cell(f, getattr(row, f.name)) for f in fields(ExperimentRow)] for row in self.rows)
+        hio.write_rows(results, [f.name for f in fields(ExperimentRow)], cells)
         hio.write_json(self.metadata, out / "metadata.json")
         return results
 

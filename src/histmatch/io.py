@@ -8,14 +8,16 @@ File formats:
 * histogram set: headered CSV ``owner,location,probability``; an owner's
   rows may be split into runs, merged in file order; each owner's
   probabilities must sum to 1 within 1e-6 on load (renormalized exactly when
-  slightly off); a set read holds its rows and builds its maps on first use.
-  A plain file is tokenized as bytes; a file with quotes, blank lines, lone
-  CRs or split owners, or one that fails, is read row by row (3x slower),
-  naming its error;
+  slightly off); a set read holds its rows and builds its maps on first use,
+  one string per distinct location.  A plain file is tokenized as bytes, with
+  no per-entry dict; a file with quotes, blank lines, lone CRs or split owners,
+  or one that fails, is read row by row (3x slower), naming its error;
 * ground truth: headered CSV ``left_owner,right_owner``, no owner repeating;
 * match result: headered CSV ``left_owner,right_owner,weight`` plus a JSON
   summary ``{algorithm, cardinality, total_weight, runtime_ms}``;
 * cluster partition: JSON ``{k, g, L, clusters}``.
+
+Every CSV file but the histogram set is written by ``write_rows``, every JSON file by ``write_json``.
 """
 from __future__ import annotations
 
@@ -155,7 +157,7 @@ def read_histogram_set(path: str | Path) -> HistogramSet:
     """A histogram CSV as packed rows, tokenized as bytes if plain, else (or on failure) read row by row."""
     try:
         return _read_plain(path)
-    except (_NotPlain, ValueError, OSError):
+    except (_NotPlain, FileFormatError, ValueError, OSError):
         return _read_row_by_row(path)
 
 
@@ -178,7 +180,7 @@ def _read_plain(path: str | Path) -> HistogramSet:
     owner, columns, masses = (np.frombuffer(buffer, dtype=buffer.typecode) for buffer in read)
     if np.any(owner[1:] < owner[:-1]):
         raise _NotPlain  # an owner's rows are split into runs
-    return _histogram_set(tuple(owners.texts), tuple(locations.texts), owner, columns, masses)
+    return _histogram_set(path, tuple(owners.texts), tuple(locations.texts), owner, columns, masses)
 
 
 def _tokenize(lines: bytes, owners: _FieldCodes, locations: _FieldCodes, read: tuple[array, array, array]) -> None:
@@ -222,28 +224,22 @@ def _read_row_by_row(path: str | Path) -> HistogramSet:
         if location in mass:
             raise FileFormatError(f"{path}:{lineno}: duplicate location {location!r} for owner {owner!r}")
         mass[location] = prob
-    for owner, mass in by_owner.items():
-        total = math.fsum(mass.values())
-        if abs(total - 1.0) > HISTOGRAM_SUM_ATOL:
-            raise FileFormatError(
-                f"{path}: probabilities for owner {owner!r} sum to {total!r}, not 1 +/- {HISTOGRAM_SUM_ATOL}"
-            )
     locations = _Codes()
     of_owner = np.repeat(np.arange(len(by_owner), dtype=np.int32), list(map(len, by_owner.values())))
     columns = np.fromiter(map(locations.__getitem__, chain.from_iterable(by_owner.values())), dtype=np.int32, count=of_owner.size)
     masses = np.fromiter(chain.from_iterable(m.values() for m in by_owner.values()), dtype=np.float64, count=of_owner.size)
-    return _histogram_set(tuple(by_owner), tuple(locations), of_owner, columns, masses)
+    return _histogram_set(path, tuple(by_owner), tuple(locations), of_owner, columns, masses)
 
 
-def _histogram_set(owners, locations, of_owner, columns, masses) -> HistogramSet:
-    """The set of the rows read, each owner's in one run in file order (int32
-    owner and location codes, writable float64 masses), rows off 1 by at most
-    ``HISTOGRAM_SUM_ATOL`` renormalized."""
+def _histogram_set(path, owners, locations, of_owner, columns, masses) -> HistogramSet:
+    """The set of the rows read from ``path``, each owner's in one run in file order (int32 owner and
+    location codes, writable float64 masses), and both readers' one check of each owner's sum: it raises
+    at the first owner off 1 by more than ``HISTOGRAM_SUM_ATOL`` and renormalizes any other row off 1."""
     indptr = np.zeros(len(owners) + 1, dtype=np.int32 if masses.size < 2**31 else np.int64)
     np.cumsum(np.bincount(of_owner, minlength=len(owners)), out=indptr[1:])
     for i, total in row_sums_off(indptr, masses, MASS_ATOL):
         if abs(total - 1.0) > HISTOGRAM_SUM_ATOL:
-            raise ValueError(f"probabilities for owner {owners[i]!r} sum to {total!r}")
+            raise FileFormatError(f"{path}: probabilities for owner {owners[i]!r} sum to {total!r}, not 1 +/- {HISTOGRAM_SUM_ATOL}")
         masses[indptr[i] : indptr[i + 1]] /= total
     return HistogramSet.from_rows(owners, locations, PackedRows(indptr, columns, masses, len(locations)))
 

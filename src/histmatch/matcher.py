@@ -169,18 +169,20 @@ def match_min_weight(instance: BipartiteInstance) -> MatchResult:
     Where assignments tie exactly, it may return another optimum than the
     dense path, with the same total.
     """
-    n, m = instance.n_left, instance.n_right
-    if n > m:
-        raise SwapSidesError(
-            f"left side has {n} nodes but right side only {m}; "
-            "pass the smaller set as the left (unlabeled) side"
-        )
+    _check_sides(instance)
     if instance.certified:
         result = _certified_min_weight(instance)
         if result is not None:
             return result
     rows, cols = _linear_sum_assignment()(instance.weights)
     return _result(instance.weights, list(zip(rows, cols)), "A1")
+
+
+def _check_sides(instance: BipartiteInstance) -> None:
+    """Raise ``SwapSidesError`` when the left side is the larger, from the sizes alone."""
+    if instance.n_left > instance.n_right:
+        raise SwapSidesError(f"left side has {instance.n_left} nodes but right side only {instance.n_right}; "
+                             "pass the smaller set as the left (unlabeled) side")
 
 
 def _certified_min_weight(instance: BipartiteInstance) -> MatchResult | None:
@@ -337,9 +339,8 @@ def match_greedy(instance: BipartiteInstance) -> MatchResult:
     """Greedy approximation: repeatedly take the lightest edge between unmatched
     nodes until every left node is covered.  Total weight is an upper bound on
     the exact optimum."""
+    _check_sides(instance)
     n, m = instance.weights.shape
-    if n > m:
-        raise SwapSidesError("pass the smaller set as the left side")
     order = np.argsort(instance.weights, axis=None, kind="stable")
     used_l = np.zeros(n, dtype=bool)
     used_r = np.zeros(m, dtype=bool)

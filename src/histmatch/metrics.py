@@ -6,17 +6,15 @@ similarity.  Logarithms are natural throughout, so divergence values are in
 nats and the divergence weight lies in [0, 2 ln 2].
 
 Pairwise functions accept either :class:`~histmatch.core.Histogram` objects or
-plain ``{location: probability}`` mappings.  ``weight_matrix`` reads the two
-sets' packed rows over the union of their locations
-(:func:`~histmatch.core.union_rows`) and evaluates a whole set-against-set
-weight matrix in time proportional to the co-occurring support instead of
-N * N' * M: the dot and cosine weights as scipy's sparse product, run by
-``scipy.sparse._sparsetools`` alone, without the ``scipy.sparse`` package;
-the divergence and l1 weights by a walk over the columns both sets use.  That
-walk runs over blocks of left rows and scatters each column's terms through
-flat indices.  Each weight is computed once per pair of distinct rows
-(:attr:`~histmatch.core.HistogramSet.row_classes`), so a k-anonymized release
-costs one row per cluster.
+plain ``{location: probability}`` mappings.  ``weight_matrix`` evaluates a
+whole set-against-set matrix over the two sets' packed rows
+(:func:`~histmatch.core.union_rows`) in time proportional to the co-occurring
+support instead of N * N' * M: the dot and cosine weights as scipy's sparse
+product, run by ``scipy.sparse._sparsetools`` alone, without the
+``scipy.sparse`` package; the divergence and l1 weights by a walk over the
+columns both sets use, in blocks of left rows.  Each weight is computed once
+per pair of distinct rows (:attr:`~histmatch.core.HistogramSet.row_classes`),
+so a k-anonymized release costs one row per cluster.
 
 :class:`PairDivergence` serves a solver that needs few exact divergence
 weights between distinct rows: a proven lower bound of every pair's weight
@@ -79,15 +77,7 @@ class MetricKind(Enum):
     @property
     def max_distance(self) -> float:
         """Largest distance-oriented weight the metric can produce."""
-        return _MAX_DISTANCE[self]
-
-
-_MAX_DISTANCE = {
-    MetricKind.PROPOSED: MAX_DIVERGENCE_WEIGHT,
-    MetricKind.L1: 2.0,
-    MetricKind.COSINE: 1.0,
-    MetricKind.DOT: 1.0,  # stored as 1 - dot
-}
+        return _KINDS[self][1]
 
 
 def _mass(h: Histogram | Mapping[str, float]) -> Mapping[str, float]:
@@ -152,17 +142,18 @@ def weight_cosine(p, q) -> float:
     return min(max(0.0, value), 1.0)
 
 
-_PAIR_FUNCS = {
-    MetricKind.PROPOSED: weight_proposed,
-    MetricKind.L1: weight_l1,
-    MetricKind.COSINE: weight_cosine,
-    MetricKind.DOT: weight_dot,
+# Each metric's pair function and its largest distance-oriented weight.
+_KINDS = {
+    MetricKind.PROPOSED: (weight_proposed, MAX_DIVERGENCE_WEIGHT),
+    MetricKind.L1: (weight_l1, 2.0),
+    MetricKind.COSINE: (weight_cosine, 1.0),
+    MetricKind.DOT: (weight_dot, 1.0),  # stored as 1 - dot
 }
 
 
 def pair_distance(kind: MetricKind, p, q) -> float:
     """Distance-oriented value; similarities are flipped so smaller is closer."""
-    value = _PAIR_FUNCS[kind](p, q)
+    value = _KINDS[kind][0](p, q)
     return 1.0 - value if kind.is_similarity else value
 
 
@@ -176,7 +167,8 @@ def _row_fsums(rows: PackedRows, values: np.ndarray) -> np.ndarray:
 def weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -> np.ndarray:
     """Dense distance-oriented weight matrix between two histogram sets.
 
-    Numerically equivalent to calling ``pair_distance`` on every pair.
+    Numerically equivalent to calling ``pair_distance`` on every pair; every
+    metric ends in one clip to ``[0, metric.max_distance]``.
     """
     # Every weight adds each pair's terms in column order, the order in which
     # the left set first uses each location.  A1 picks among tied assignments
@@ -205,9 +197,9 @@ def weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -
 
 
 def _dot_products(lrows: PackedRows, rrows: PackedRows) -> np.ndarray:
-    """scipy's ``(csr_array(lrows) @ csr_array(rrows).T).toarray()``: its own
-    kernels on the same arrays, so the same sums in the same order, with
-    ``rrows.columns()`` the transpose scipy converts to CSR."""
+    """scipy's ``(csr_array(lrows) @ csr_array(rrows).T).toarray()``: its own kernels on the same
+    arrays, so the same sums in the same order, with ``rrows.columns()`` the transpose scipy
+    converts to CSR, and int32 indices, int64 once N N' or an nnz reaches 2**31, as scipy's."""
     sparsetools = _scipy_extension("scipy.sparse._sparsetools")
     rcols = rrows.columns()
     n, m = lrows.shape[0], rrows.shape[0]
@@ -229,9 +221,20 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _divergence_term(p: np.ndarray, q: np.ndarray, plogp: np.ndarray, qlogq: np.ndarray) -> np.ndarray:
+    """The divergence's term where both rows have mass, (s ln s - p ln p) - q ln q with s = p + q, in one new
+    array; ``weight_matrix`` and ``PairDivergence.weights`` both take it off, so they agree bit for bit."""
+    terms = p + q
+    terms *= np.log(terms)
+    terms -= plogp
+    terms -= qlogq
+    return terms
+
+
 def _subtract_shared_columns(w: np.ndarray, lrows: PackedRows, rrows: PackedRows, metric: MetricKind) -> None:
     """Take each column's divergence or l1 terms off ``w`` for the pairs of
-    rows that both have mass there, column by column in ascending order.
+    rows that both have mass there, column by column in ascending order, with
+    p ln p formed once per block of left rows and q ln q once per call.
 
     The walk runs over blocks of left rows whose slice of ``w`` spans at most
     ``_BLOCK_BYTES``, so the slice stays in cache across the columns.  Each
@@ -256,12 +259,7 @@ def _subtract_shared_columns(w: np.ndarray, lrows: PackedRows, rrows: PackedRows
                 continue
             ps, qs = lcols.data[la:lb, None], rcols.data[None, ra:rb]
             if proposed:
-                # (s ln s - p ln p) - q ln q, the order of the reference walk,
-                # so that every weight keeps its last bit.
-                terms = ps + qs
-                terms *= np.log(terms)
-                terms -= plogp[la:lb, None]
-                terms -= qlogq[None, ra:rb]
+                terms = _divergence_term(ps, qs, plogp[la:lb, None], qlogq[None, ra:rb])
             else:
                 terms = np.minimum(ps, qs)
                 terms *= 2.0
@@ -335,12 +333,13 @@ class PairDivergence:
         self.sums = _row_fsums(lrows, lrows.data), _row_fsums(rrows, rrows.data)
 
     def lower_bounds(self) -> np.ndarray:
-        """The shaved bound of every pair of distinct rows, as a new array."""
+        """The shaved bound of every pair of distinct rows, as a new array.
+
+        BC is summed in float32, as dense products of blocks of left and right rows'
+        square roots.  A right block spans ``_ROOTS_CELLS`` cells, and a left block as
+        many, or up to an eighth of the bytes of ``b``, so large sets densify few times."""
         lrows, rrows = self.rows
         lsum, rsum = self.sums
-        # BC in float32, as dense products of blocks of left and right rows'
-        # square roots.  A left block spans as many cells as a right one, or up
-        # to an eighth of the bytes of ``b``, so large sets densify few times.
         n, m = lrows.shape[0], rrows.shape[0]
         rstep = max(1, _ROOTS_CELLS // lrows.width)
         lstep = max(rstep, n * m // (4 * lrows.width))
@@ -382,11 +381,7 @@ class PairDivergence:
             table[rpair, rblock.indices] = 0
             shared = np.flatnonzero(found)
             p, q = lblock.data[shared], rblock.data[found[shared] - 1]
-            terms = p + q
-            terms *= np.log(terms)
-            terms -= _xlogx(p)
-            terms -= _xlogx(q)
-            np.subtract.at(w[start : start + step], lpair[shared], terms)
+            np.subtract.at(w[start : start + step], lpair[shared], _divergence_term(p, q, _xlogx(p), _xlogx(q)))
         return np.clip(w, 0.0, MAX_DIVERGENCE_WEIGHT, out=w)
 
 

@@ -1,19 +1,26 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from histmatch import cli
 from histmatch import io as hio
 from histmatch.cli import main
 from histmatch.core import EARTH_RADIUS_M
+from histmatch.harness import _SCENARIOS, SCENARIOS
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +139,20 @@ class TestMatchCommand:
             )
             assert code == 0, err
             assert json.loads(out)["cardinality"] == expect
+
+    @pytest.mark.parametrize("algorithm", ["a1", "greedy"])
+    def test_larger_left_side_is_one_swap_sides_error(self, tmp_path, capsys, algorithm):
+        left, right = tmp_path / "l.csv", tmp_path / "r.csv"
+        left.write_text("owner,location,probability\nu1,a,1.0\nu2,b,1.0\nu3,a,0.5\nu3,b,0.5\n")
+        right.write_text("owner,location,probability\nv1,a,1.0\nv2,b,1.0\n")
+        code, out, err = run_cli(capsys, "match", "--left", str(left), "--right", str(right),
+                                 "--algorithm", algorithm, "--out-pairs", str(tmp_path / "p.csv"))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "SwapSidesError",
+            "message": "left side has 3 nodes but right side only 2; pass the smaller set as the left (unlabeled) side",
+        }
+        assert not (tmp_path / "p.csv").exists()
 
     def test_metric_is_case_insensitive(self, tmp_path, capsys, synth_files):
         left, right, _, _ = synth_files
@@ -812,3 +833,185 @@ class TestConsoleScript:
         )
         assert out.returncode == 0
         assert "ingest" in out.stdout and "experiment" in out.stdout
+
+
+# Field texts the fuzz test draws from: numbers at the float edges, and text
+# that is no number at all.
+_NUMBER_TEXTS = ["1", "1.0", "0.5", " 0.25 ", "nan", "inf", "-inf", "1e308", "1e-320", "-0.0", "0", "-1", "x", ""]
+_SIZES = st.integers(-1, 6)
+# True one time in four: most examples get past the checks to the work.
+_RARELY = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def _histogram_csv(draw) -> bytes:
+    """A histogram CSV of at most 6 owners over at most 12 locations: a valid
+    set, one with masses at the float edges, rows of any field texts, or the
+    header alone, each then perhaps quoted, cut short, written with CRLF or
+    spoiled by a byte that is not UTF-8."""
+    kind = draw(st.sampled_from(["valid", "valid", "valid", "extreme", "rows", "header", "empty"]))
+    rows = []
+    if kind in ("valid", "extreme"):
+        for i in range(draw(st.integers(1, 6))):
+            locations = draw(st.lists(st.integers(0, 11), min_size=1, max_size=4, unique=True))
+            weights = draw(st.lists(st.integers(1, 5), min_size=len(locations), max_size=len(locations)))
+            rows += [(f"u{i}", f"L{loc}", repr(w / sum(weights))) for loc, w in zip(locations, weights)]
+        if kind == "extreme":  # a valid set with every mass at one float edge
+            edge = draw(st.sampled_from(["1e308", "1e-320", "-0.0", "nan", "inf"]))
+            rows = [(owner, location, edge) for owner, location, _ in rows]
+    elif kind == "rows":
+        field = st.sampled_from(["u0", "u1", "u5", "", " u2 ", "L0", "L11", "a,b"])
+        rows = draw(st.lists(st.tuples(field, field, st.sampled_from(_NUMBER_TEXTS)), min_size=1, max_size=12))
+    lines = [] if kind == "empty" else [("owner", "location", "probability"), *rows]
+    if draw(_RARELY):
+        lines = [tuple(f'"{f}"' for f in line) for line in lines]
+    data = draw(st.sampled_from(["\n", "\r\n"])).join(",".join(line) for line in lines).encode()
+    if data and draw(_RARELY):
+        data = data[: draw(st.integers(0, len(data)))]
+    if draw(_RARELY):
+        data += draw(st.sampled_from([b"\xff", b"u9,\xfe,1.0\n", b"\0"]))
+    return data
+
+
+@st.composite
+def _event_csv(draw) -> bytes:
+    """An event log of at most 12 events by at most 6 users at ids or quoted
+    ``lat,lon`` points, with timestamps and coordinates at the edges."""
+    coordinate = st.sampled_from(["0", "39.9", "116.3", "90", "-180", "1e308", "nan", "inf", "1e-320", "-0.0", "x"])
+    location = st.one_of(st.sampled_from(["a", "b", "c"]), st.builds(lambda a, b: f'"{a},{b}"', coordinate, coordinate))
+    timestamp = st.one_of(st.sampled_from(["0", "10", "500", "900"]), st.sampled_from(["-1", str(2**63), "1.5", "x", ""]))
+    rows = draw(st.lists(st.tuples(st.sampled_from(["u0", "u1", "u5"]), timestamp, location), max_size=12))
+    data = "\n".join(",".join(row) for row in [("user", "timestamp", "location"), *rows]).encode()
+    if draw(_RARELY):
+        data = data[: draw(st.integers(0, len(data)))]
+    return data + draw(st.sampled_from([b"", b"\n", b"\n", b"\xff\n"]))
+
+
+# Concentrations whose draws can repeat a row: at more than one user, synth
+# redraws about 2^18 times before it gives up (``TestExhaustedConcentration``).
+_REPEATING_CONCENTRATIONS = [1e-300, 1e-320, 1e60, 1e308]
+_CONCENTRATIONS = [0.1, 1.0, 2.5, 0.0, -0.0, -1.0, math.nan, math.inf]
+
+
+@st.composite
+def _config(draw, tmp: Path) -> str:
+    """An experiment config within 6 users, 12 locations, t 20, 2 repetitions
+    and 1 worker, with every size the scenario reads set; perhaps with a field
+    or param of another type or an unknown key; or text that is no JSON object."""
+    scenario = draw(st.sampled_from([*SCENARIOS, "bogus"]))
+    concentration = draw(st.sampled_from(_CONCENTRATIONS[:3] + _REPEATING_CONCENTRATIONS))
+    one_user = concentration in _REPEATING_CONCENTRATIONS
+    small = st.integers(1, 6)
+    grid = st.lists(small, min_size=1, max_size=2)
+    params = {"alphabet_size": draw(st.integers(1, 12)), "t": draw(st.integers(1, 20)),
+              "n_users": 1 if one_user else draw(small), "concentration": concentration}
+    params.update({
+        "vary_n": {"n_values": [1] if one_user else draw(grid)},
+        "vary_t": {"t_values": draw(st.lists(st.integers(1, 20), min_size=1, max_size=2))},
+        "overlap": {"r_values": [1], "n_left": 1, "n_right": 1} if one_user else
+                   {"r_values": draw(grid), "n_left": draw(small), "n_right": draw(small)},
+        "aggregate": {"group_counts": draw(st.lists(st.integers(1, 12), min_size=1, max_size=2))},
+        "suppress": {"keep_sizes": draw(st.lists(st.integers(1, 12), min_size=1, max_size=2))},
+        "kanon": {"k_values": draw(st.lists(st.integers(1, 7), min_size=1, max_size=2))},
+    }.get(scenario, {}))
+    reads = _SCENARIOS[scenario].defaults if scenario in _SCENARIOS else params
+    params = {key: value for key, value in params.items() if key in reads}
+    if scenario == "aggregate" and draw(st.booleans()):
+        (tmp / "events.csv").write_bytes(draw(_event_csv()))
+        params = {"event_log": str(tmp / "events.csv"), "boundary": draw(st.sampled_from([-1, 0, 500, 2**63])),
+                  "cell_sides": draw(st.lists(st.sampled_from([1e-320, 1.0, 100, 1e308]), min_size=1, max_size=2)),
+                  "geo_origin": draw(st.sampled_from([[0, 0], [39.9, 116.3], [1e308, -1e308], [90, 0]]))}
+    config = {"scenario": scenario, "metrics": draw(st.lists(st.sampled_from(["proposed", "L1", "cosine", "dot"]), min_size=1, max_size=2)),
+              "repetitions": draw(st.integers(1, 2)), "seed": draw(st.sampled_from([0, 7, -1, 2**64, 10**30])), "workers": 1, "params": params}
+    # No large number: a size, repetition count or concentration that large is
+    # valid, and its run would take long or allocate much.
+    wrong = st.sampled_from(["2", 2.5, True, None, -1, 0, [], {}, math.nan, math.inf])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        target = draw(st.sampled_from(["repetitions", "seed", "workers", "metrics", "scenario", "params", "param", "unknown"]))
+        if target == "param":
+            params[draw(st.sampled_from(sorted(params) + ["bogus"]))] = draw(wrong)
+        else:
+            config["bogus" if target == "unknown" else target] = draw(wrong)
+    text = json.dumps(config)
+    return draw(st.sampled_from([text] * 6 + [json.dumps([config]), text[:-1], "", "\xff"]))
+
+
+class TestFuzzMain:
+    """Every command, in-process, over small generated inputs: it exits 0, 1
+    or 2, and on failure writes exactly one JSON error object and no traceback.
+    An exception that escapes ``main`` fails the test with its traceback."""
+
+    def _run(self, argv) -> None:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv])
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            line, = err.getvalue().splitlines()
+            payload = json.loads(line)
+            assert set(payload) == {"error", "message"} and all(isinstance(v, str) for v in payload.values())
+        event(f"exit {code}" + (f" {payload['error']}" if code else ""))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_match(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            left, right = Path(tmp, "l.csv"), Path(tmp, "r.csv")
+            left.write_bytes(data.draw(_histogram_csv()))
+            right.write_bytes(data.draw(_histogram_csv()))
+            algorithm = data.draw(st.one_of(st.sampled_from(["a1", "A1", "a2:1", "greedy", "brute", "brute:2"]), st.sampled_from(
+                ["a2:3", "a2:0", "a2:-1", "a2:99", "a2:", "a2:x", "brute:-1", "brute:99", "nope"])))
+            metric = data.draw(st.sampled_from(["proposed", "L1", "cosine", "DOT", "proposed", "bogus"]))
+            self._run(["match", "--left", left, "--right", right, "--metric", metric, "--algorithm", algorithm,
+                       "--out-pairs", Path(tmp, "p.csv"), "--out-summary", Path(tmp, "s.json")])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_anonymize(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            Path(tmp, "h.csv").write_bytes(data.draw(_histogram_csv()))
+            k = data.draw(st.one_of(st.sampled_from(["1", "2", "3"]), st.sampled_from(["-1", "0", "6", "7", str(2**70), "x", "1.5"])))
+            self._run(["anonymize", "--input", Path(tmp, "h.csv"), "--k", k,
+                       "--out-released", Path(tmp, "r.csv"), "--out-partition", Path(tmp, "p.json")])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_ingest(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            Path(tmp, "e.csv").write_bytes(data.draw(_event_csv()))
+            argv = ["ingest", "--events", Path(tmp, "e.csv"), "--out-left", Path(tmp, "l.csv"), "--out-right", Path(tmp, "r.csv"),
+                    "--boundary", data.draw(st.sampled_from(["-1", "0", "500", "500", "500", str(2**63), "1e3", "x"]))]
+            if data.draw(st.booleans()):
+                argv += ["--geo-grid", data.draw(st.sampled_from(["1e-320", "1", "100", "100", "1e308", "nan", "inf", "-1", "0"]))]
+                argv += ["--geo-origin", data.draw(st.sampled_from(["0,0", "0,0", "39.9,116.3", "nan,0", "1e308,1e308", "91,0", "x", "1,2,3"]))]
+            if data.draw(st.booleans()):
+                table = data.draw(st.sampled_from(["from,to\na,X\nb,X\n", "from,to\na,X\na,Y\n", "from,to\n0:0,X\n", "from\na\n", ""]))
+                Path(tmp, "t.csv").write_text(table)
+                argv += ["--aggregate-table", Path(tmp, "t.csv")]
+            self._run(argv)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_synth(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            alpha = data.draw(st.one_of(st.sampled_from(_CONCENTRATIONS[:3]), st.sampled_from(_CONCENTRATIONS + _REPEATING_CONCENTRATIONS)))
+            users = 1 if alpha in _REPEATING_CONCENTRATIONS else data.draw(st.one_of(st.integers(1, 6), _SIZES))
+            argv = ["synth", "--users", users, "--alphabet", data.draw(st.integers(-1, 12)), "--alpha", repr(alpha),
+                    "--t1", data.draw(st.integers(-1, 20)), "--t2", data.draw(st.integers(-1, 20)),
+                    "--seed", data.draw(st.sampled_from([0, 7, 7, 7, -1, 2**64, 2**70])),
+                    "--out-left", Path(tmp, "l.csv"), "--out-right", Path(tmp, "r.csv"),
+                    "--out-truth", Path(tmp, "t.csv"), "--out-meta", Path(tmp, "m.json")]
+            if alpha not in _REPEATING_CONCENTRATIONS:
+                for flag in ("--n-left", "--n-right", "--overlap"):
+                    if data.draw(_RARELY):
+                        argv += [flag, data.draw(st.integers(-1, 7))]
+            self._run(argv)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_experiment(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            Path(tmp, "c.json").write_text(data.draw(_config(Path(tmp))))
+            self._run(["experiment", "--config", Path(tmp, "c.json"), "--out-dir", Path(tmp, "out")])

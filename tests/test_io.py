@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from histmatch import io as hio
 from histmatch.anonymize import information_loss, microaggregate, verify_k_anonymity
-from histmatch.core import MASS_ATOL, GroundTruth, Histogram, HistogramSet
+from histmatch.core import MASS_ATOL, GroundTruth, Histogram, HistogramSet, PackedRows
 from histmatch.errors import FileFormatError
 from histmatch.io import HISTOGRAM_HEADER, HISTOGRAM_SUM_ATOL
 from histmatch.matcher import build_instance, match_min_weight
@@ -140,6 +140,17 @@ class TestHistogramSet:
         path.write_text("owner,location,probability\nu1,a,0.6\nu1,b,0.5\n")
         with pytest.raises(FileFormatError):
             hio.read_histogram_set(path)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sum_that_overflows(self, tmp_path):
+        # two finite masses whose float64 sum overflows, plain and quoted: the
+        # byte and the row readers both name the owner's sum as inf
+        path = tmp_path / "h.csv"
+        for rows in ("u1,a,1e308\nu1,b,1e308\n", '"u1",a,1e308\nu1,b,1e308\n'):
+            path.write_text("owner,location,probability\n" + rows)
+            message = f"{path}: probabilities for owner 'u1' sum to inf, not 1 +/- 1e-06"
+            with pytest.raises(FileFormatError, match=re.escape(message)):
+                hio.read_histogram_set(path)
 
     def test_duplicate_cell(self, tmp_path):
         path = tmp_path / "h.csv"
@@ -616,6 +627,12 @@ class TestSetFromRows:
         assert "entries" not in vars(loaded)
         assert loaded == hset and hset == loaded
         assert loaded != HistogramSet(hset.entries[1:])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_row_whose_sum_overflows(self):
+        rows = PackedRows(np.array([0, 2]), np.array([0, 1]), np.array([1e308, 1e308]), 2)
+        with pytest.raises(ValueError, match="histogram mass sums to inf, not 1"):
+            HistogramSet.from_rows(["u1"], ["a", "b"], rows)
 
     def test_pickles_without_maps_and_stays_read_only(self, tmp_path, rng):
         hset = random_histogram_set(rng, 10, 20, 6)

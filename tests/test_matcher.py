@@ -17,6 +17,7 @@ from histmatch.errors import (
     TooLargeForOracleError,
 )
 from histmatch.matcher import (
+    BipartiteInstance,
     MatchResult,
     _linear_sum_assignment,
     _result,
@@ -303,6 +304,14 @@ class TestGreedy:
     def test_more_left_than_right_rejected(self):
         with pytest.raises(SwapSidesError):
             match_greedy(instance_from_matrix([[0.0], [1.0]]))
+
+    def test_swap_sides_before_the_weights(self, rng):
+        # greedy names both sizes, as A1 does, and fails before it builds the matrix
+        inst = BipartiteInstance(random_histogram_set(rng, 3, 6), random_histogram_set(rng, 2, 6), MetricKind.PROPOSED)
+        for solve in (match_greedy, match_min_weight):
+            with pytest.raises(SwapSidesError, match="left side has 3 nodes but right side only 2"):
+                solve(inst)
+        assert "weights" not in vars(inst)
 
     def test_one_by_one_matching(self, rng):
         w = rng.uniform(0, 1, size=(1, 7))
