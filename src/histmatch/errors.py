@@ -33,6 +33,10 @@ class MetricMismatchError(HistmatchError):
     """Operation requires an instance built with a different metric."""
 
 
+class MatrixTooLargeError(HistmatchError):
+    """A dense N x N' float64 array alone would exceed the address-space limit or physical memory."""
+
+
 class InvalidKError(HistmatchError):
     """k-anonymity parameter outside 1..N."""
 

@@ -24,12 +24,15 @@ of chosen pairs, bit for bit as ``weight_matrix`` computes it.
 from __future__ import annotations
 
 import math
+import os
+import resource
 from enum import Enum
 from typing import Mapping
 
 import numpy as np
 
 from .core import Histogram, HistogramSet, PackedRows, _scipy_extension, union_rows
+from .errors import MatrixTooLargeError
 
 LN2 = math.log(2.0)
 
@@ -164,12 +167,24 @@ def _row_fsums(rows: PackedRows, values: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(values[a:b].tolist()) for a, b in zip(ptr, ptr[1:])])
 
 
+def _check_dense_size(n: int, m: int) -> None:
+    """Raise ``MatrixTooLargeError`` before an n x m float64 array is allocated
+    whose bytes alone exceed the ``RLIMIT_AS`` soft limit or physical memory."""
+    need = 8 * n * m
+    limits = resource.getrlimit(resource.RLIMIT_AS)[0], os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit = min(x for x in limits if x >= 0)  # RLIM_INFINITY is -1
+    if need > limit:
+        raise MatrixTooLargeError(f"a {n} x {m} weight matrix needs {need} bytes, more than the {limit} this process may use")
+
+
 def weight_matrix(left: HistogramSet, right: HistogramSet, metric: MetricKind) -> np.ndarray:
     """Dense distance-oriented weight matrix between two histogram sets.
 
     Numerically equivalent to calling ``pair_distance`` on every pair; every
-    metric ends in one clip to ``[0, metric.max_distance]``.
+    metric ends in one clip to ``[0, metric.max_distance]``.  A matrix larger
+    than this process may allocate raises ``MatrixTooLargeError`` first.
     """
+    _check_dense_size(len(left), len(right))
     # Every weight adds each pair's terms in column order, the order in which
     # the left set first uses each location.  A1 picks among tied assignments
     # by the last bit, so this order is kept fixed.  A pair's weight depends on
@@ -231,42 +246,78 @@ def _divergence_term(p: np.ndarray, q: np.ndarray, plogp: np.ndarray, qlogq: np.
     return terms
 
 
+def _distinct(masses: np.ndarray) -> np.ndarray:
+    """The distinct masses, ascending."""
+    values = np.sort(masses)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def _codes(values: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Each mass's index in ``values``, in the narrowest unsigned type."""
+    return values.searchsorted(masses).astype(np.min_scalar_type(len(values) - 1))
+
+
+def _takes_table(cells: int, cooccurrences: int) -> bool:
+    """Whether a block of the divergence walk gathers its terms from a table of ``cells`` terms
+    instead of forming each of its ``cooccurrences`` terms."""
+    return cells < cooccurrences
+
+
 def _subtract_shared_columns(w: np.ndarray, lrows: PackedRows, rrows: PackedRows, metric: MetricKind) -> None:
     """Take each column's divergence or l1 terms off ``w`` for the pairs of
-    rows that both have mass there, column by column in ascending order, with
-    p ln p formed once per block of left rows and q ln q once per call.
+    rows that both have mass there, column by column in ascending order.
 
     The walk runs over blocks of left rows whose slice of ``w`` spans at most
-    ``_BLOCK_BYTES``, so the slice stays in cache across the columns.  Each
-    pair occurs once in a column and ``np.subtract.at`` applies a column's
-    terms in index order, so every pair's terms come off in column order
-    whatever the block size.
+    ``_BLOCK_BYTES``, so the slice stays in cache across the columns and a
+    block's flat offsets fit in int32.  Each pair occurs once in a column and
+    ``np.subtract.at`` applies a column's terms in index order, so every
+    pair's terms come off in column order whatever the block size.
+
+    A divergence term depends on the two masses alone, and the masses of
+    empirical histograms of t observations are counts over t, so a set holds
+    few distinct masses.  A block whose distinct left masses times the right
+    set's are fewer than its co-occurrences (sum over columns of
+    |L_l| |R_l|) forms one table of ``_divergence_term`` over them, codes
+    each entry by its mass's index there, and gathers each column's terms
+    from the table; the same inputs through the same elementwise formula
+    give the same bits.  Other blocks form each term from p ln p and q ln q.
     """
     n, width = w.shape
     proposed = metric is MetricKind.PROPOSED
     rcols = rrows.columns()
     rptr = rcols.indptr.tolist()
-    qlogq = _xlogx(rcols.data) if proposed else None
+    rvals = _distinct(rcols.data) if proposed else None
+    rcodes = qlogq = None
     step = max(1, _BLOCK_BYTES // (w.itemsize * max(width, 1)))
+    index = np.int32 if min(step, n) * width <= 2**31 else np.intp
     for start in range(0, n, step):
         lcols = (lrows if step >= n else lrows.take(np.arange(start, min(n, start + step)))).columns()
         lptr = lcols.indptr.tolist()
-        plogp = _xlogx(lcols.data) if proposed else None
+        offsets = lcols.indices.astype(index)
+        offsets *= width
+        table = None
+        if proposed:
+            lvals = _distinct(lcols.data)
+            if _takes_table(len(lvals) * len(rvals), int(np.diff(lcols.indptr) @ np.diff(rcols.indptr))):
+                rcodes = _codes(rvals, rcols.data) if rcodes is None else rcodes
+                lcodes = _codes(lvals, lcols.data)
+                table = _divergence_term(lvals[:, None], rvals, _xlogx(lvals)[:, None], _xlogx(rvals))
+            else:
+                qlogq = _xlogx(rcols.data) if qlogq is None else qlogq
+                plogp = _xlogx(lcols.data)
         # A row slice of C-ordered ``w`` is contiguous, so this is a view.
         flat = w[start : start + step].reshape(-1)
         for la, lb, ra, rb in zip(lptr, lptr[1:], rptr, rptr[1:]):
             if la == lb or ra == rb:
                 continue
-            ps, qs = lcols.data[la:lb, None], rcols.data[None, ra:rb]
-            if proposed:
-                terms = _divergence_term(ps, qs, plogp[la:lb, None], qlogq[None, ra:rb])
+            if table is not None:
+                terms = table[lcodes[la:lb]][:, rcodes[ra:rb]]
+            elif proposed:
+                terms = _divergence_term(lcols.data[la:lb, None], rcols.data[ra:rb], plogp[la:lb, None], qlogq[ra:rb])
             else:
-                terms = np.minimum(ps, qs)
+                terms = np.minimum(lcols.data[la:lb, None], rcols.data[ra:rb])
                 terms *= 2.0
-            # intp before the multiply, so that the flat index cannot wrap at
-            # 2**31 however large the block is.
-            offsets = lcols.indices[la:lb, None].astype(np.intp) * width
-            np.subtract.at(flat, (offsets + rcols.indices[ra:rb]).ravel(), terms.ravel())
+            np.subtract.at(flat, (offsets[la:lb, None] + rcols.indices[ra:rb]).ravel(), terms.ravel())
 
 
 def cooccurrences(left: HistogramSet, right: HistogramSet) -> int:
@@ -341,6 +392,7 @@ class PairDivergence:
         lrows, rrows = self.rows
         lsum, rsum = self.sums
         n, m = lrows.shape[0], rrows.shape[0]
+        _check_dense_size(n, m)
         rstep = max(1, _ROOTS_CELLS // lrows.width)
         lstep = max(rstep, n * m // (4 * lrows.width))
         b = np.empty((n, m))

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -714,6 +715,41 @@ class TestMemoryError:
                                  "--out-left", str(tmp_path / "l.csv"), "--out-right", str(tmp_path / "r.csv"))
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": "MemoryError", "message": message}
+
+
+class TestMatrixTooLarge:
+    """The dense 12 x 12 matrix takes 1152 bytes; a smaller address-space
+    limit or physical memory refuses it before it is allocated."""
+
+    @pytest.mark.parametrize("rlimit, pages", [(1000, 1 << 20), (-1, 100)])
+    def test_match_prints_one_json_error(self, synth_files, tmp_path, capsys, monkeypatch, rlimit, pages):
+        left, right, _, _ = synth_files
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (rlimit, -1))
+        monkeypatch.setattr(os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else 10)
+        code, out, err = run_cli(capsys, "match", "--left", str(left), "--right", str(right),
+                                 "--out-pairs", str(tmp_path / "pairs.csv"))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "MatrixTooLargeError"
+        assert "a 12 x 12 weight matrix needs 1152 bytes" in error["message"]
+        assert not (tmp_path / "pairs.csv").exists()
+
+
+class TestOverflowingConcentration:
+    """At --alpha 1e308 the gamma draws overflow and every Dirichlet row sums
+    to 0; the first batch fails, naming the concentration."""
+
+    @pytest.mark.parametrize("users, alphabet", [("1", "2"), ("3", "12")])
+    def test_synth(self, tmp_path, capsys, users, alphabet):
+        code, out, err = run_cli(capsys, "synth", "--users", users, "--alphabet", alphabet, "--alpha", "1e308",
+                                 "--out-left", str(tmp_path / "l.csv"), "--out-right", str(tmp_path / "r.csv"))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "InvalidPopulationError",
+            "message": f"Dirichlet rows drawn at concentration 1e+308 over {alphabet} locations do not sum to 1",
+        }
+        assert not (tmp_path / "l.csv").exists()
 
 
 class TestSynthMemory:

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from histmatch import metrics
 from histmatch.anonymize import microaggregate
 from histmatch.core import Histogram, HistogramSet, union_rows
+from histmatch.errors import MatrixTooLargeError
 from histmatch.metrics import (
     LN2,
     MAX_DIVERGENCE_WEIGHT,
@@ -521,3 +523,92 @@ class TestWeightMatrixMatchesOracle:
             width = rset.row_classes[0].shape[0]
             monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_rows * 8 * width)
             assert_matches_oracle(lset, rset)
+
+
+def _term_path_cases():
+    """Set pairs for both divergence-term paths: count grids, a k=5 release,
+    random masses off any grid, a one-location alphabet (a 1 x 1 table), and
+    N < N' and N > N'."""
+    population = sample_population(PopulationSpec(45, 300, 1.0, 8))
+    left, right, _ = generate_pair(population, 200, 200, OverlapSpec(30, 40, 25), 8)
+    rng = np.random.default_rng(5)
+
+    def one(n, prefix):
+        return HistogramSet(tuple((f"{prefix}{i}", H({"A": 1.0})) for i in range(n)))
+
+    return [
+        (left, right),
+        (right, left),
+        (microaggregate(right, 5)[1], left),
+        (random_histogram_set(rng, 9, 30, 12), random_histogram_set(rng, 14, 30, 12)),
+        (random_histogram_set(rng, 14, 30, 12), random_histogram_set(rng, 5, 30, 12)),
+        (one(3, "l"), one(4, "r")),
+    ]
+
+
+class TestDivergenceTermPaths:
+    """The table of terms over distinct masses and the per-co-occurrence
+    terms give the same bits, each equal to the oracle's."""
+
+    def _both_paths(self, monkeypatch, left, right):
+        out = []
+        for table in (True, False):
+            monkeypatch.setattr(metrics, "_takes_table", lambda cells, cooccurrences: table)
+            out.append(weight_matrix(left, right, MetricKind.PROPOSED))
+        monkeypatch.undo()
+        return out
+
+    @pytest.mark.parametrize("block_rows", [None, 1, 3])
+    def test_paths_agree_with_the_oracle(self, monkeypatch, block_rows):
+        for left, right in _term_path_cases():
+            oracle = _oracle_weight_matrix(left, right, MetricKind.PROPOSED).tobytes()
+            if block_rows is not None:
+                monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_rows * 8 * right.row_classes[0].shape[0])
+            with_table, per_term = self._both_paths(monkeypatch, left, right)
+            assert with_table.tobytes() == per_term.tobytes() == oracle
+
+    def test_selection(self, monkeypatch):
+        """Count grids take the table; random masses, almost all distinct, do not."""
+        chosen = []
+        takes_table = metrics._takes_table
+
+        def spy(cells, cooccurrences):
+            chosen.append(takes_table(cells, cooccurrences))
+            return chosen[-1]
+
+        monkeypatch.setattr(metrics, "_takes_table", spy)
+        cases = _term_path_cases()
+        for (left, right), want in ((cases[0], True), (cases[2], True), (cases[3], False)):
+            chosen.clear()
+            weight_matrix(left, right, MetricKind.PROPOSED)
+            assert chosen == [want]
+
+    def test_peak_memory(self):
+        """On a 400 x 400 count-grid instance the walk's tracemalloc peak stays at
+        or below 4 302 922 bytes, the peak when it kept p ln p and q ln q per entry."""
+        population = sample_population(PopulationSpec(400, 1000, 1.0, 0))
+        left, right, _ = generate_pair(population, 200, 200, OverlapSpec.full(400), 0)
+        weight_matrix(left, right, MetricKind.PROPOSED)  # one-time allocations, outside the trace
+        tracemalloc.start()
+        try:
+            w = weight_matrix(left, right, MetricKind.PROPOSED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w.nbytes == 1_280_000
+        assert peak <= 4_302_922
+
+
+class TestDenseSizeCheck:
+    @pytest.mark.parametrize("rlimit", [1000, 1279])
+    def test_weights_and_bounds_refused_before_allocation(self, monkeypatch, rlimit):
+        population = sample_population(PopulationSpec(20, 50, 1.0, 3))
+        left, right, _ = generate_pair(population, 50, 50, OverlapSpec(10, 16, 8), 3)
+        monkeypatch.setattr(metrics.resource, "getrlimit", lambda which: (rlimit, -1))
+        message = f"a 10 x 16 weight matrix needs 1280 bytes, more than the {rlimit} this process may use"
+        with pytest.raises(MatrixTooLargeError, match=message):
+            weight_matrix(left, right, MetricKind.L1)
+        with pytest.raises(MatrixTooLargeError, match=message):
+            metrics.PairDivergence(left, right).lower_bounds()
+        monkeypatch.setattr(metrics.resource, "getrlimit", lambda which: (1280, -1))
+        assert weight_matrix(left, right, MetricKind.L1).shape == (10, 16)
