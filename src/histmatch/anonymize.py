@@ -71,9 +71,9 @@ def _mean_row(rows: PackedRows, live: np.ndarray) -> np.ndarray:
 def _centroids(histograms: HistogramSet, clusters: list[tuple[int, ...]]) -> tuple[Histogram, ...]:
     """Each cluster's mean histogram; a single member is its own centroid.
 
-    A centroid's masses are those ``_mean_row`` gives over its members, which
-    come in row order, and its keys come in their order of first use over the
-    members' maps.
+    A centroid's masses are those ``_mean_row`` gives over its members' rows,
+    gathered in row order, so O(nnz + g M) in all; its keys come in their
+    order of first use over the members' maps.
     """
     hists, rows = histograms.histograms, histograms.rows
     column = dict(zip(histograms.locations, range(rows.shape[1])))
@@ -82,32 +82,57 @@ def _centroids(histograms: HistogramSet, clusters: list[tuple[int, ...]]) -> tup
         if len(cluster) == 1:
             out.append(hists[cluster[0]])
             continue
-        members = np.zeros(len(hists), dtype=bool)
-        members[list(cluster)] = True
+        members = rows.take(np.array(cluster))
         keys = dict.fromkeys(chain.from_iterable(hists[i].mass for i in cluster))
         at = np.fromiter(map(column.__getitem__, keys), dtype=np.intp, count=len(keys))
-        out.append(Histogram(mass=dict(zip(keys, _mean_row(rows, members)[at].tolist()))))
+        out.append(Histogram(mass=dict(zip(keys, _mean_row(members, np.ones(len(cluster), dtype=bool))[at].tolist()))))
     return tuple(out)
 
 
-def _l1_to(rows: PackedRows, v: np.ndarray) -> tuple[np.ndarray, float]:
-    """l1 distance of every row to the dense vector ``v`` in O(nnz + M), and a
-    bound on its distance from ``weight_l1``'s value.
+def _l1_by_minima(sums: np.ndarray, total: float, minima: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """l1 distance of each row x to a center a from X = |x| (``sums``),
+    A = |a| (``total``) and m, the sum of min(x_l, a_l) over the locations
+    both use (``minima``), and a bound on its distance from ``weight_l1``'s
+    value, where no sum has more than ``n`` terms.
 
-    A row x with support s gets sum_s |x - v| + (sum v - sum_s v).  Every sum
-    has at most n = M + max|s| nonnegative terms, so it lies within
-    g(n) = n u / (1 - n u) of its magnitude, and the magnitudes are at most
-    |x| + S, S and S, with |x| < 2 and S = sum v.  The two roundings that
-    combine them, and the one ``math.fsum`` makes, add under 5 u (2 + 4 S).
-    The bound returned is g(n + 5) (2 + 4 S).
+    For nonnegative masses |x_l - a_l| = x_l + a_l - 2 min(x_l, a_l), so
+    l1(x, a) = X + A - 2 m.  X, A and m are sums of at most n nonnegative
+    terms, each computed within g(n) = n u / (1 - n u) of its value, and
+    m <= (X + A) / 2.  So fl(X + A) lies within g(n + 1) (X + A) of X + A,
+    2 fl(m) within g(n) (X + A) of 2 m, the subtraction rounds by under
+    2 u (1 + g(n + 1)) (X + A), and ``math.fsum`` rounds ``weight_l1`` by
+    u (X + A).  These add to under 3 g(n + 2) (X + A), and X + A < 4 for
+    histograms and their means; clipping both to [0, 2] moves neither further
+    apart.  The bound returned is 12 g(n + 2).
     """
-    starts = rows.indptr[:-1]
-    at = v[rows.indices]
-    total = float(v.sum())
-    d = np.add.reduceat(np.abs(rows.data - at), starts) + (total - np.add.reduceat(at, starts))
+    d = (sums + total) - 2.0 * minima
     np.clip(d, 0.0, 2.0, out=d)
-    n = v.size + int(np.diff(rows.indptr).max()) + 5
-    return d, n * _U / (1.0 - n * _U) * (2.0 + 4.0 * total)
+    n += 2
+    return d, 12.0 * n * _U / (1.0 - n * _U)
+
+
+def _l1_to(rows: PackedRows, sums: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """l1 distance of every row to the dense vector ``v`` in O(nnz + M), and
+    ``_l1_by_minima``'s bound; ``sums`` are the rows' ``np.add.reduceat`` sums."""
+    at = v[rows.indices]
+    np.minimum(rows.data, at, out=at)
+    longest = int(np.diff(rows.indptr).max())
+    return _l1_by_minima(sums, float(v.sum()), np.add.reduceat(at, rows.indptr[:-1]), max(v.size, longest))
+
+
+def _l1_near(rows: PackedRows, columns: PackedRows, sums: np.ndarray, anchor: int) -> tuple[np.ndarray, float]:
+    """l1 distance of every row to row ``anchor`` from the anchor's columns
+    alone, in O(rows + entries in those columns), and ``_l1_by_minima``'s
+    bound; ``columns`` is ``rows.columns()`` and ``sums`` as for ``_l1_to``."""
+    a, b = rows.indptr[anchor], rows.indptr[anchor + 1]
+    at = rows.indices[a:b]
+    starts = columns.indptr[at]
+    counts = columns.indptr[at + 1] - starts
+    ends = np.cumsum(counts)
+    entries = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+    shared = np.minimum(columns.data[entries], np.repeat(rows.data[a:b], counts))
+    minima = np.bincount(columns.indices[entries], weights=shared, minlength=rows.shape[0])
+    return _l1_by_minima(sums, sums[anchor], minima, int(np.diff(rows.indptr).max()))
 
 
 def microaggregate(histograms: HistogramSet, k: int) -> tuple[ClusterPartition, HistogramSet]:
@@ -118,47 +143,58 @@ def microaggregate(histograms: HistogramSet, k: int) -> tuple[ClusterPartition, 
     neighbours, and once fewer than 2k records remain they form the final
     cluster.  Every cluster size lies in [k, 2k-1].
 
-    Each step costs one vectorized l1 pass per choice over the packed rows.
-    Records within twice ``_l1_to``'s error bound of the farthest are compared
-    again with ``_exact_l1``, in O(nnz + M) however many tie; those within it
-    of the (k-1)-th nearest, with ``weight_l1``.  Ties go to the lowest index.
-    The partition is therefore the one exact distances give.
+    Each step reads only the live rows, gathered again with their column form
+    whenever their count halves, so it costs O(live nnz + M): the centroid
+    and the farthest record are passes over the live rows, and the anchor's
+    neighbours come from its own columns alone (``_l1_near``), O(live rows +
+    the entries in those columns).  Both distances are filters with the
+    absolute error bound tol that ``_l1_by_minima`` derives.  Records within
+    2 tol of the farthest are compared again with ``_exact_l1``, in
+    O(nnz + M) however many tie.  Records more than 2 tol nearer than the
+    (k-1)-th nearest are surely among the k-1; those within 2 tol of it are
+    compared with ``weight_l1`` for the places left.  Ties go to the lowest
+    index.  The partition is therefore the one exact distances give.
     """
     n = len(histograms)
     if not 1 <= k <= n:
         raise InvalidKError(f"k={k} outside 1..{n}")
     hists = histograms.histograms
     rows = histograms.rows
+    # intp columns, which numpy's gathers and ``np.bincount`` take unconverted.
+    live, ids = PackedRows(rows.indptr, rows.indices.astype(np.intp), rows.data, rows.width), np.arange(n)
+    columns, sums = live.columns(), np.add.reduceat(live.data, live.indptr[:-1])
     alive = np.ones(n, dtype=bool)
     clusters: list[tuple[int, ...]] = []
     while (remaining := np.flatnonzero(alive)).size >= 2 * k:
-        center = _mean_row(rows, alive)
-        d, tol = _l1_to(rows, center)
+        if 2 * remaining.size <= alive.size:
+            live, ids, sums = live.take(remaining), ids[remaining], sums[remaining]
+            columns, alive, remaining = live.columns(), np.ones(remaining.size, dtype=bool), np.arange(remaining.size)
+        center = _mean_row(live, alive)
+        d, tol = _l1_to(live, sums, center)
         d = d[remaining]
         top = remaining[d >= d.max() - 2.0 * tol]
         anchor = int(top[0])
         if top.size > 1:
-            sub = rows.take(top)
+            sub = live.take(top)
             exact = _exact_l1(sub, center[sub.indices], repeat(_exact_sum(center.tolist())))
             anchor = int(top[exact.index(max(exact))])
         alive[anchor] = False
         members = [anchor]
         if k > 1:
             others = remaining[remaining != anchor]
-            a, b = rows.indptr[anchor], rows.indptr[anchor + 1]
-            dense = np.zeros(rows.shape[1])
-            dense[rows.indices[a:b]] = rows.data[a:b]
-            d, tol = _l1_to(rows, dense)
+            d, tol = _l1_near(live, columns, sums, anchor)
             d = d[others]
-            near = others[d <= np.partition(d, k - 2)[k - 2] + 2.0 * tol]
-            if near.size > k - 1:
-                exact = [weight_l1(hists[i], hists[anchor]) for i in near.tolist()]
-                near = near[sorted(range(near.size), key=exact.__getitem__)[: k - 1]]
-            alive[near] = False
-            members.extend(near.tolist())
-        clusters.append(tuple(sorted(members)))
+            cut = np.partition(d, k - 2)[k - 2]
+            low, high = cut - 2.0 * tol, cut + 2.0 * tol
+            near, band = others[d < low], others[(d >= low) & (d <= high)]
+            if near.size + band.size > k - 1:
+                exact = [weight_l1(hists[i], hists[ids[anchor]]) for i in ids[band].tolist()]
+                band = band[sorted(range(band.size), key=exact.__getitem__)[: k - 1 - near.size]]
+            alive[near] = alive[band] = False
+            members += near.tolist() + band.tolist()
+        clusters.append(tuple(sorted(ids[members].tolist())))
     if remaining.size:
-        clusters.append(tuple(remaining.tolist()))
+        clusters.append(tuple(ids[remaining].tolist()))
 
     centroids = _centroids(histograms, clusters)
     owners = histograms.owners

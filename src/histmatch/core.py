@@ -36,15 +36,14 @@ EARTH_RADIUS_M = 6_371_000.0
 
 
 def _scipy_extension(name: str):
-    """scipy's compiled module ``name`` loaded without its package and registered under its own name,
-    so that a later import of the package binds this very module (though not as the package's
-    attribute); a module that is not compiled is imported as usual."""
+    """scipy's compiled module ``name`` loaded without importing the ``scipy`` package, whose path
+    ``find_spec`` reads, and registered under its own name, so that a later import of the package binds
+    this very module (though not as the package's attribute); a module that is not compiled is imported
+    as usual."""
     module = sys.modules.get(name)
     if module is None:
-        import scipy
-
-        package = name.split(".")[1:-1]
-        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], *package)])
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(root, *name.split(".")[1:-1])])
         if spec is None or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
             return importlib.import_module(name)
         module = importlib.util.module_from_spec(spec)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -206,6 +207,9 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
         self._check_params()
+        points = len(self.merged_params()[_SCENARIOS[self.scenario].grid_key])
+        if self.repetitions > sys.maxsize // points:
+            raise ConfigError(f"{points} grid points x {self.repetitions} repetitions exceeds sys.maxsize ({sys.maxsize}) runs")
 
     def _check_params(self) -> None:
         """Each ``params`` key is one the scenario reads, of its default's type; sizes, string
@@ -459,20 +463,18 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         observed = [_event_log_sets(log, params, float(value)) for value in values]
     repetitions = 1 if event_log else config.repetitions  # observed sets never vary
 
-    tasks = []
-    for gi, value in enumerate(values):
-        for rep in range(repetitions):
-            tasks.append(
-                (config.scenario, params, tuple(config.metrics), value,
-                 _rep_seed(config.seed, gi, rep), config.seed, observed[gi])
-            )
+    tasks = (
+        (config.scenario, params, tuple(config.metrics), value, _rep_seed(config.seed, gi, rep), config.seed, observed[gi])
+        for gi, value in enumerate(values)
+        for rep in range(repetitions)
+    )
     if config.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=config.workers) as executor:
             outcomes = list(executor.map(_rep_task, tasks))
     else:
-        outcomes = [_rep_task(t) for t in tasks]
+        outcomes = list(map(_rep_task, tasks))
 
     rows: list[ExperimentRow] = []
     for gi, value in enumerate(values):

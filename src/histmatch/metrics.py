@@ -268,10 +268,11 @@ def _subtract_shared_columns(w: np.ndarray, lrows: PackedRows, rrows: PackedRows
     rows that both have mass there, column by column in ascending order.
 
     The walk runs over blocks of left rows whose slice of ``w`` spans at most
-    ``_BLOCK_BYTES``, so the slice stays in cache across the columns and a
-    block's flat offsets fit in int32.  Each pair occurs once in a column and
-    ``np.subtract.at`` applies a column's terms in index order, so every
-    pair's terms come off in column order whatever the block size.
+    ``_BLOCK_BYTES``, so the slice stays in cache across the columns.  The
+    flat offsets are intp, which ``np.subtract.at`` takes without converting
+    them.  Each pair occurs once in a column and ``np.subtract.at`` applies a
+    column's terms in index order, so every pair's terms come off in column
+    order whatever the block size.
 
     A divergence term depends on the two masses alone, and the masses of
     empirical histograms of t observations are counts over t, so a set holds
@@ -289,11 +290,10 @@ def _subtract_shared_columns(w: np.ndarray, lrows: PackedRows, rrows: PackedRows
     rvals = _distinct(rcols.data) if proposed else None
     rcodes = qlogq = None
     step = max(1, _BLOCK_BYTES // (w.itemsize * max(width, 1)))
-    index = np.int32 if min(step, n) * width <= 2**31 else np.intp
     for start in range(0, n, step):
         lcols = (lrows if step >= n else lrows.take(np.arange(start, min(n, start + step)))).columns()
         lptr = lcols.indptr.tolist()
-        offsets = lcols.indices.astype(index)
+        offsets = lcols.indices.astype(np.intp)
         offsets *= width
         table = None
         if proposed:

@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 from histmatch.anonymize import (
     ClusterPartition,
+    _l1_near,
+    _l1_to,
+    _mean_row,
     information_loss,
     microaggregate,
     verify_k_anonymity,
@@ -180,6 +183,106 @@ def test_centroids_match_oracle_centroid(seed):
             assert list(got.mass.items()) == list(want.mass.items())
             if len(cluster) == 1:
                 assert got is want
+
+
+def assert_release_bytes_match_oracle(hset, k):
+    """The partition, the released rows and row classes byte for byte, each
+    centroid's keys and masses, and the loss, as the oracle gives them."""
+    partition, released = microaggregate(hset, k)
+    want_partition, want = _oracle_microaggregate(hset, k)
+    assert partition == want_partition
+    for got, expected in zip(partition.centroids, want_partition.centroids):
+        assert list(got.mass.items()) == list(expected.mass.items())
+    assert released.locations == want.locations
+    for got, expected in ((released.rows, want.rows), (released.row_classes[0], want.row_classes[0])):
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert released.row_classes[1].tobytes() == want.row_classes[1].tobytes()
+    assert information_loss(partition, hset) == _oracle_information_loss(want_partition, hset)
+
+
+def _ulp_variants(base: dict, rng) -> list[dict]:
+    """``base`` itself, and copies with one or two masses moved by one ulp."""
+    locs = list(base)
+    out = [dict(base), dict(base)]
+    for _ in range(6):
+        moved = dict(base)
+        for loc in rng.choice(locs, size=min(2, len(locs)), replace=False).tolist():
+            moved[loc] = math.nextafter(moved[loc], 2.0 if rng.random() < 0.5 else 0.0)
+        out.append(moved)
+    return out
+
+
+class TestLiveRowsAndAnchorColumns:
+    """Micro-aggregation over the live rows, re-gathered as their count halves,
+    with the anchor's neighbours from its columns: the oracle's release, bit
+    for bit."""
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_sizes_at_the_regather_boundaries(self, rng, k):
+        for n in (2 * k - 1, 2 * k, 2 * k + 1, 4 * k, 8 * k + 1):
+            assert_release_bytes_match_oracle(random_histogram_set(rng, n, 10, max_support=6), k)
+
+    def test_rows_equal_to_the_anchor_or_one_ulp_off(self, rng):
+        # Eight near copies on their own locations lie far from the other rows'
+        # centroid, so anchors come from them and the column form cancels.
+        base = dict(zip([f"B{j}" for j in range(6)], rng.dirichlet(np.ones(6)).tolist()))
+        near = _ulp_variants(base, rng)
+        others = random_histogram_set(rng, 12, 30, max_support=5).histograms
+        hset = hist_set(near + [h.mass for h in others])
+        for k in (2, 3, 4, 5):
+            assert_release_bytes_match_oracle(hset, k)
+        only_near = hist_set(near + _ulp_variants(base, rng))
+        for k in (2, 3, 5, 8):
+            assert_release_bytes_match_oracle(only_near, k)
+
+    @pytest.mark.parametrize("n, t", [(300, 5), (200, 2)])
+    def test_tie_heavy_shapes(self, n, t):
+        hset = synthetic_set(n, 4, t, seed=1)
+        for k in (3, 5):
+            assert_release_bytes_match_oracle(hset, k)
+
+    def test_benchmark_shape(self):
+        assert_release_bytes_match_oracle(synthetic_set(200, 1000, 200, seed=2), 5)
+
+    def test_duplicated_histograms_and_extreme_k(self, rng):
+        distinct = random_histogram_set(rng, 5, 12).histograms
+        hset = HistogramSet(tuple((f"u{i}", distinct[i % 5]) for i in range(23)))
+        for k in (1, 2, 4, 5, 11, 23):
+            assert_release_bytes_match_oracle(hset, k)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_both_forms_within_their_bound_of_weight_l1(self, data):
+        # The anchor's column form and the centroid's pass over every row.
+        size = data.draw(st.integers(1, 8))
+        weights = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=size, max_size=size))
+        base = {f"L{j}": w / math.fsum(weights) for j, w in enumerate(weights)}
+        masses = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            if data.draw(st.booleans()):
+                masses.append({loc: data.draw(st.sampled_from([p, math.nextafter(p, 0.0), math.nextafter(p, 2.0)]))
+                               for loc, p in base.items()})
+            else:
+                locs = data.draw(st.lists(st.integers(0, 11), min_size=1, max_size=6, unique=True))
+                raw = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=len(locs), max_size=len(locs)))
+                masses.append({f"L{j}": w / math.fsum(raw) for j, w in zip(locs, raw)})
+        masses = [m for m in masses if abs(math.fsum(m.values()) - 1.0) <= 1e-9]
+        if not masses:
+            return
+        hset = hist_set(masses)
+        rows, hists = hset.rows, hset.histograms
+        sums = np.add.reduceat(rows.data, rows.indptr[:-1])
+        for anchor in range(len(hists)):
+            d, tol = _l1_near(rows, rows.columns(), sums, anchor)
+            for i, h in enumerate(hists):
+                assert abs(d[i] - weight_l1(h, hists[anchor])) <= tol
+        center = _mean_row(rows, np.ones(len(hists), dtype=bool))
+        mean = H((loc, p) for loc, p in zip(hset.locations, center.tolist()) if p)
+        d, tol = _l1_to(rows, sums, center)
+        for i, h in enumerate(hists):
+            assert abs(d[i] - weight_l1(h, mean)) <= tol
 
 
 class TestMicroaggregate:

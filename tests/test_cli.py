@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -583,6 +584,18 @@ class TestExperimentCommand:
         assert payload["message"].startswith(message)
 
 
+    def test_uncountable_repetitions_fail_at_once(self, tmp_path, capsys):
+        # No run of 10**30 repetitions could finish, so the config fails before any task is built.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "kanon", "repetitions": 10**30}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path), "--out-dir", str(tmp_path / "o"))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ConfigError" and "exceeds sys.maxsize" in payload["message"]
+
     def test_out_dir_that_is_a_file_is_a_json_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"scenario": "vary_n", "repetitions": 1, "params": {"n_values": [3]}}))
@@ -832,6 +845,7 @@ class TestSolverLoading:
             assert main(["anonymize", "--input", d + "l.csv", "--k", "2", "--out-released", d + "rel.csv"]) == 0
             match = ["match", "--left", d + "l.csv", "--right", d + "r.csv", "--out-pairs", d + "p.csv"]
             assert main(match + ["--algorithm", "a1"]) == 0
+            assert "scipy" not in sys.modules, "an a1 match imported the scipy package"
             certified, calls = matcher._certified_min_weight, []
             matcher._certified_min_weight = lambda instance: calls.append(certified(instance)) or calls[-1]
             matcher.CERTIFIED_MIN_COOCCURRENCES = 0
@@ -845,6 +859,7 @@ class TestSolverLoading:
                 for algorithm in ("a1", "a2:3", "greedy"):
                     out = d + metric + "-" + algorithm.replace(":", "") + ".csv"
                     assert main(match[:-1] + [out, "--metric", metric, "--algorithm", algorithm]) == 0
+            assert "scipy" not in sys.modules, "a cosine or dot match imported the scipy package"
             assert main(["experiment", "--config", d + "kanon.json", "--out-dir", d + "k"]) == 0
             assert "scipy.sparse" not in sys.modules, "a command loaded scipy.sparse"
             assert "multiprocessing" not in sys.modules, "a command loaded multiprocessing"

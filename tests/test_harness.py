@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import sys
 import weakref
 from dataclasses import replace
 
@@ -210,6 +211,32 @@ class TestExperimentConfig:
         merged = cfg.merged_params()
         assert merged["t"] == 99
         assert merged["n_values"] == [10, 50, 100]
+
+    @pytest.mark.parametrize("n_values", [[10], [10, 50, 100]])
+    def test_runs_beyond_maxsize_rejected(self, n_values):
+        most = sys.maxsize // len(n_values)
+        ExperimentConfig(scenario="vary_n", repetitions=most, params={"n_values": n_values})
+        with pytest.raises(ConfigError, match=r"exceeds sys\.maxsize"):
+            ExperimentConfig(scenario="vary_n", repetitions=most + 1, params={"n_values": n_values})
+
+
+class _FirstTaskRan(Exception):
+    pass
+
+
+def test_single_worker_builds_each_task_when_it_runs(monkeypatch):
+    """With one worker a task is built only when its run starts, so an
+    experiment of countless repetitions holds no list of them."""
+    ran = []
+
+    def stop(task):
+        ran.append(task)
+        raise _FirstTaskRan
+
+    monkeypatch.setattr(harness, "_rep_task", stop)
+    with pytest.raises(_FirstTaskRan):
+        run_experiment(ExperimentConfig("vary_n", repetitions=10**15, params={"n_values": [4, 6]}))
+    assert len(ran) == 1 and ran[0][3] == 4
 
 
 class TestRepetitionMemory:
