@@ -1,7 +1,8 @@
 """Identify users across independently collected datasets by matching their
 behavior histograms, and evaluate privacy defenses against that attack."""
 
-from .anonymize import ClusterPartition, information_loss, microaggregate, verify_k_anonymity
+import importlib
+
 from .core import (
     EventLog,
     GroundTruth,
@@ -30,15 +31,6 @@ from .errors import (
     SwapSidesError,
     TooLargeForOracleError,
     ZeroMassAfterSuppressionError,
-)
-from .harness import (
-    AccuracyReport,
-    ExperimentConfig,
-    ExperimentReport,
-    bootstrap_ci,
-    cluster_level_accuracy,
-    run_experiment,
-    user_level_accuracy,
 )
 from .matcher import (
     BipartiteInstance,
@@ -72,3 +64,16 @@ from .synth import (
 )
 
 __version__ = "0.1.0"
+
+# Loaded on first use (PEP 562), so a process that only synthesizes or matches never imports them.
+_LAZY = dict.fromkeys(["anonymize", "ClusterPartition", "information_loss", "microaggregate", "verify_k_anonymity"], "anonymize")
+_LAZY.update(dict.fromkeys(["harness", "AccuracyReport", "ExperimentConfig", "ExperimentReport", "bootstrap_ci",
+                            "cluster_level_accuracy", "run_experiment", "user_level_accuracy"], "harness"))
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    globals()[name] = value = module if name == _LAZY[name] else getattr(module, name)
+    return value

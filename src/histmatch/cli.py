@@ -21,7 +21,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import io as hio
-from .anonymize import information_loss, microaggregate
 from .core import (
     HistogramSet,
     aggregate_locations,
@@ -32,7 +31,6 @@ from .core import (
     split_by_period,
 )
 from .errors import HistmatchError, InvalidCoordinateError, InvalidOverlapError
-from .harness import ExperimentConfig, run_experiment
 from .matcher import (
     build_instance,
     match_bruteforce,
@@ -42,6 +40,16 @@ from .matcher import (
 )
 from .metrics import MetricKind
 from .synth import GENERATOR_NAME, OverlapSpec, PopulationSpec, generate_pair, sample_population
+
+# Loaded on first use (PEP 562); commands read them as attributes of this module (``_this``), so a name set on it wins.
+_LAZY = {"information_loss", "microaggregate", "ExperimentConfig", "run_experiment"}
+_this = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
 
 
 def _emit_error(kind: str, message: str) -> None:
@@ -124,8 +132,8 @@ def _cmd_match(args) -> int:
 
 def _cmd_anonymize(args) -> int:
     histograms = hio.read_histogram_set(args.input)
-    partition, released = microaggregate(histograms, args.k)
-    loss = information_loss(partition, histograms)
+    partition, released = _this.microaggregate(histograms, args.k)
+    loss = _this.information_loss(partition, histograms)
     hio.write_histogram_set(released, args.out_released)
     if args.out_partition:
         hio.write_partition(partition, loss, args.out_partition)
@@ -171,9 +179,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = ExperimentConfig.from_file(args.config)
+    config = _this.ExperimentConfig.from_file(args.config)
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-    report = run_experiment(config, out_dir=args.out_dir)
+    report = _this.run_experiment(config, out_dir=args.out_dir)
     print(json.dumps({"rows": len(report.rows), "out_dir": args.out_dir}))
     return 0
 

@@ -262,9 +262,9 @@ class HistogramSet:
 
     @cached_property
     def locations(self) -> tuple[str, ...]:
-        """Every location the set uses, in the order of first use."""
-        objects = {id(h): h for h in self.histograms}.values()
-        return tuple(dict.fromkeys(chain.from_iterable(h.mass for h in objects)))
+        """Every location the set uses, in the order of first use (as the walk that packs ``rows`` codes them)."""
+        self.rows
+        return vars(self)["locations"]
 
     @cached_property
     def rows(self) -> PackedRows:
@@ -279,8 +279,10 @@ class HistogramSet:
         """The set's packed form: one row per distinct map over
         ``locations``, in order of first occurrence with each row's columns
         ascending, and each entry's row in it.  Each distinct histogram object
-        is packed once (``_pack`` then keeps rows of equal maps once).  The
-        arrays are shared by every caller and read-only."""
+        is packed once (``_pack`` then keeps rows of equal maps once), or each
+        row of ``rows`` once known, to the same arrays, read-only and shared."""
+        if "rows" in vars(self):
+            return _pack(self.rows)
         objects, of_object = self._object_rows()
         distinct, of_first = _pack(objects)
         of_row = of_first[of_object]
@@ -288,14 +290,14 @@ class HistogramSet:
         return distinct, of_row
 
     def _object_rows(self) -> tuple[PackedRows, np.ndarray]:
-        """New rows over ``locations``, one per distinct histogram object in order of first occurrence,
-        each in its map's key order, and each entry's row among them.  Each object's map is read once
-        per call; the result is not kept, so a set that needs both ``rows`` and ``row_classes`` calls it twice."""
+        """New rows, one per distinct histogram object in order of first occurrence, each in its map's key
+        order, and each entry's row among them, from one walk over the maps that codes each location at its
+        first use and sets ``locations``.  Not kept: a set that reads ``row_classes`` first and ``rows`` later walks twice."""
         hists = self.histograms
         objects = {id(h): h for h in hists}
         position = dict(zip(objects, range(len(objects))))
         of_object = np.fromiter(map(position.__getitem__, map(id, hists)), dtype=np.intp, count=len(hists))
-        column = dict(zip(self.locations, range(len(self.locations))))
+        column = _Codes()
         # int32 offsets, as the CSV reader's, while the rows gathered by entry fit them.
         indptr = np.zeros(len(objects) + 1, dtype=np.int32 if sum(len(h.mass) for h in hists) < 2**31 else np.int64)
         np.cumsum([len(h.mass) for h in objects.values()], out=indptr[1:])
@@ -303,7 +305,16 @@ class HistogramSet:
         locs = map(column.__getitem__, chain.from_iterable(h.mass for h in objects.values()))
         indices = np.fromiter(locs, dtype=np.int32, count=nnz)
         data = np.fromiter(chain.from_iterable(h.mass.values() for h in objects.values()), dtype=np.float64, count=nnz)
+        vars(self).setdefault("locations", tuple(column))
         return PackedRows(indptr, indices, data, len(column)), of_object
+
+
+class _Codes(dict):
+    """Each key's integer code, given in order of first use."""
+
+    def __missing__(self, key):
+        self[key] = code = len(self)
+        return code
 
 
 def _in_first_use_order(columns: np.ndarray, width: int) -> bool:
@@ -385,11 +396,11 @@ def union_rows(first: HistogramSet, second: HistogramSet) -> tuple[PackedRows, P
     of their locations, ``first``'s and then the ones only ``second`` uses:
     ``first``'s own arrays, and ``second``'s ``data`` and ``indptr`` with each
     column remapped, so its rows need not ascend in the union, an order no kernel reads."""
+    a, b = first.row_classes[0], second.row_classes[0]
     column = dict(zip(first.locations, range(len(first.locations))))
     for loc in second.locations:
         column.setdefault(loc, len(column))
     remap = np.fromiter(map(column.__getitem__, second.locations), dtype=np.intp, count=len(second.locations))
-    a, b = first.row_classes[0], second.row_classes[0]
     return PackedRows(a.indptr, a.indices, a.data, len(column)), PackedRows(b.indptr, remap.astype(b.indices.dtype)[b.indices], b.data, len(column))
 
 

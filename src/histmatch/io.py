@@ -17,7 +17,8 @@ File formats:
   summary ``{algorithm, cardinality, total_weight, runtime_ms}``;
 * cluster partition: JSON ``{k, g, L, clusters}``.
 
-Every CSV file but the histogram set is written by ``write_rows``, every JSON file by ``write_json``.
+Every CSV file but the histogram set is written by ``write_rows``, every JSON file by ``write_json``;
+``write_histogram_set`` writes the same bytes in blocks of gathered owner, location and mass texts.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import csv
 import json
 import math
 from array import array
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -38,9 +39,11 @@ from .core import (
     GroundTruth,
     HistogramSet,
     PackedRows,
+    _Codes,
     row_sums_off,
 )
 from .errors import FileFormatError
+from .metrics import _distinct
 
 if TYPE_CHECKING:
     from .anonymize import ClusterPartition
@@ -58,6 +61,7 @@ HISTOGRAM_SUM_ATOL = 1e-6
 # the bytes read when that is more, so its tokens stay small next to the set.
 _BLOCK_BYTES = 1 << 13
 _NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
+_WRITE_BLOCK = 1 << 14  # entries the histogram writer joins at a time
 
 
 def _read_rows(path: str | Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
@@ -128,14 +132,6 @@ def _read_pairs(path: str | Path, header: list[str], key_name: str, value_name: 
 
 def read_aggregation_table(path: str | Path) -> dict[str, str]:
     return _read_pairs(path, AGGREGATION_HEADER, "source location")
-
-
-class _Codes(dict):
-    """Each key's integer code, given in order of first use."""
-
-    def __missing__(self, key):
-        self[key] = code = len(self)
-        return code
 
 
 class _FieldCodes(dict):
@@ -245,26 +241,21 @@ def _histogram_set(path, owners, locations, of_owner, columns, masses) -> Histog
 
 
 def write_histogram_set(hset: HistogramSet, path: str | Path) -> None:
-    """The bytes ``csv.writer`` writes for the rows ``owner, location, repr(p)``
-    of ``hset.rows``, with each distinct owner and location quoted once, by
-    ``csv.writer``, and each distinct mass formatted once."""
+    """The bytes ``csv.writer`` writes for the rows ``owner, location, repr(p)`` of ``hset.rows``: each
+    distinct owner, location and mass formatted once (quoted by ``csv.writer``), and each block of
+    ``_WRITE_BLOCK`` entries one join of the texts gathered by their rows, columns and mass codes."""
     rows = hset.rows
-    location_fields = _csv_fields(hset.locations)
-    owner_fields = chain.from_iterable(map(repeat, _csv_fields(hset.owners), np.diff(rows.indptr).tolist()))
+    owner_texts = np.array([field + "," for field in _csv_fields(hset.owners)], dtype=object)
+    location_texts = np.array(_csv_fields(hset.locations), dtype=object)
     # A float64 array holds floats only, so equal masses have equal reprs.
-    mass_fields = map(_Reprs().__getitem__, rows.data.tolist())
-    fields = zip(owner_fields, repeat(","), map(location_fields.__getitem__, rows.indices.tolist()), repeat(","), mass_fields, repeat("\r\n"))
+    masses = _distinct(rows.data) if rows.nnz else rows.data
+    mass_texts = np.array([f",{p!r}\r\n" for p in masses.tolist()], dtype=object)
+    row_of = rows.row_of()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(HISTOGRAM_HEADER)
-        fh.writelines(map("".join, fields))
-
-
-class _Reprs(dict):
-    """Each key's ``repr``, formatted at its first lookup."""
-
-    def __missing__(self, key):
-        self[key] = text = repr(key)
-        return text
+        for block in (slice(start, start + _WRITE_BLOCK) for start in range(0, rows.nnz, _WRITE_BLOCK)):
+            texts = (owner_texts[row_of[block]], location_texts[rows.indices[block]], mass_texts[masses.searchsorted(rows.data[block])])
+            fh.write("".join(np.stack(texts, axis=1).ravel().tolist()))
 
 
 def _csv_fields(strings: Iterable[str]) -> list[str]:

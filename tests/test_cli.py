@@ -876,6 +876,36 @@ class TestSolverLoading:
             assert (tmp_path / "first.csv").read_bytes() == (tmp_path / f"{metric}-a1.csv").read_bytes()
 
 
+class TestLazyModules:
+    def test_match_and_synth_leave_anonymize_and_harness_unloaded(self, tmp_path):
+        script = textwrap.dedent("""
+            import sys
+            from histmatch.cli import main
+            d = sys.argv[1] + "/"
+            assert main(["synth", "--users", "6", "--alphabet", "20", "--t1", "40", "--t2", "40",
+                         "--out-left", d + "l.csv", "--out-right", d + "r.csv"]) == 0
+            assert main(["match", "--left", d + "l.csv", "--right", d + "r.csv", "--out-pairs", d + "p.csv"]) == 0
+            lazy = {"histmatch.anonymize", "histmatch.harness"}
+            assert lazy.isdisjoint(sys.modules), sorted(lazy & set(sys.modules))
+            from histmatch import microaggregate, run_experiment
+            from histmatch import anonymize, harness
+            import histmatch
+            assert run_experiment is harness.run_experiment and microaggregate is anonymize.microaggregate
+            assert histmatch.ClusterPartition is anonymize.ClusterPartition and histmatch.harness is harness
+            assert main(["anonymize", "--input", d + "l.csv", "--k", "2", "--out-released", d + "rel.csv"]) == 0
+        """)
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert (tmp_path / "rel.csv").exists()
+
+    def test_unknown_names_raise_attribute_error(self):
+        import histmatch
+
+        for module in (histmatch, cli):
+            with pytest.raises(AttributeError):
+                module.no_such_name
+
+
 class TestConsoleScript:
     def test_entrypoint_runs(self, tmp_path):
         out = subprocess.run(

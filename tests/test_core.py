@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import random
@@ -496,6 +497,20 @@ class TestRepeatedObjects:
         for a, b in zip(self.form_arrays(shared), self.form_arrays(copies)):
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
+
+    def test_any_order_of_use(self, monkeypatch):
+        """``locations``, ``rows`` and ``row_classes`` come out the same whichever is read first;
+        the set walks its maps once, or twice when ``row_classes`` comes first and ``rows`` later."""
+        walks = []
+        walk = HistogramSet._object_rows
+        monkeypatch.setattr(HistogramSet, "_object_rows", lambda self: walks.append(1) or walk(self))
+        for order in itertools.permutations(["locations", "rows", "row_classes"]):
+            for got, want in zip(self.sets(np.random.default_rng(5)), self.sets(np.random.default_rng(5))):
+                walks.clear()
+                for name in order:
+                    getattr(got, name)
+                assert len(walks) == 1 + (order[0] == "row_classes"), order
+                self.assert_same_pack(got, want)
 
 
 def key_rows(hset):

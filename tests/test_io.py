@@ -681,3 +681,85 @@ class TestWriterBytes:
             path = tmp_path / "h.csv"
             hio.write_histogram_set(hset, path)
             assert path.read_bytes() == self.reference_bytes(hset)
+
+    def _assert_writes_reference(self, hset, path):
+        hio.write_histogram_set(hset, path)
+        assert path.read_bytes() == self.reference_bytes(hset)
+
+    def test_blocks_of_few_entries(self, tmp_path, monkeypatch, rng):
+        """Blocks that end inside an owner's rows, or hold several owners, join to the same bytes."""
+        long_owner = HistogramSet((("big", H({f"L{i}": 0.125 for i in range(8)})), ("small", H({"L3": 1.0}))))
+        for block in (1, 2, 3):
+            monkeypatch.setattr(hio, "_WRITE_BLOCK", block)
+            for hset in (long_owner, random_histogram_set(rng, 9, 12, 5)):
+                self._assert_writes_reference(hset, tmp_path / "h.csv")
+
+    def test_empty_set_writes_header_alone(self, tmp_path):
+        for hset in (HistogramSet(()), HistogramSet.from_rows((), (), PackedRows(np.zeros(1, np.int32), np.zeros(0, np.int32), np.zeros(0), 0))):
+            self._assert_writes_reference(hset, tmp_path / "h.csv")
+            assert (tmp_path / "h.csv").read_bytes() == b"owner,location,probability\r\n"
+
+    def test_every_mass_distinct(self, tmp_path, rng):
+        weights = rng.random((10, 30)) + 0.5
+        masses = (weights / weights.sum(axis=1, keepdims=True)).tolist()
+        assert len(set(sum(masses, []))) == weights.size
+        hset = HistogramSet(tuple((f"u{i}", H(dict(zip((f"L{j}" for j in range(30)), row)))) for i, row in enumerate(masses)))
+        self._assert_writes_reference(hset, tmp_path / "h.csv")
+
+    def test_mass_reprs_with_exponents_and_17_digits(self, tmp_path):
+        tiny = [1e-300, 5e-324, 2.5e-17, 1e-5]
+        odd = [0.1 + 0.2, 1 / 3, 0.1 / 3]
+        hset = HistogramSet((
+            ("tiny", H({f"t{i}": p for i, p in enumerate(tiny)} | {"rest": 1.0 - math.fsum(tiny)})),
+            ("odd", H({f"o{i}": p for i, p in enumerate(odd)} | {"rest": 1.0 - math.fsum(odd)})),
+        ))
+        texts = [repr(p) for _, h in hset.entries for p in h.mass.values()]
+        assert any("e-" in t for t in texts) and any(len(t.lstrip("0.")) == 17 for t in texts)
+        self._assert_writes_reference(hset, tmp_path / "h.csv")
+
+    def test_k_anonymous_release(self, tmp_path):
+        """A 3-anonymous release shares each centroid among its cluster; written, read and written
+        again, it gives the same bytes."""
+        population = sample_population(PopulationSpec(40, 60, 0.5, 11))
+        left, _, _ = generate_pair(population, 50, 50, OverlapSpec.full(40), 11)
+        _, released = microaggregate(left, 3)
+        assert len({id(h) for h in released.histograms}) < len(released)
+        path, again = tmp_path / "released.csv", tmp_path / "again.csv"
+        self._assert_writes_reference(released, path)
+        hio.write_histogram_set(hio.read_histogram_set(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    NAMES = ["plain", "com,ma", 'quo"te', "cr\rlf", "line\nfeed", "crlf\r\nx", " lead", "trail ", "", "é"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_property_names_and_blocks(self, tmp_path_factory, data):
+        draw = data.draw
+        owners = draw(st.lists(st.sampled_from(self.NAMES), min_size=0, max_size=6, unique=True))
+        entries = []
+        for owner in owners:
+            locs = draw(st.lists(st.sampled_from(self.NAMES), min_size=1, max_size=6, unique=True))
+            weights = draw(st.lists(st.integers(1, 7), min_size=len(locs), max_size=len(locs)))
+            entries.append((owner, H({loc: w / sum(weights) for loc, w in zip(locs, weights)})))
+        hset = HistogramSet(entries)
+        path = tmp_path_factory.mktemp("w") / "h.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hio, "_WRITE_BLOCK", draw(st.sampled_from([1, 2, 5, 1 << 15])))
+            self._assert_writes_reference(hset, path)
+
+    def test_peak_memory_near_rows(self, tmp_path):
+        """At the benchmark's size (1000 users, mean support about 167) the writer's peak stays
+        within 1.5 times the bytes of the rows it writes."""
+        population = sample_population(PopulationSpec(1000, 1000, 1.0, 0))
+        hset, _, _ = generate_pair(population, 200, 200, OverlapSpec.full(1000), 0)
+        rows = hset.rows
+        hset.locations
+        rows_bytes = rows.indptr.nbytes + rows.indices.nbytes + rows.data.nbytes
+        path = tmp_path / "h.csv"
+        tracemalloc.start()
+        try:
+            hio.write_histogram_set(hset, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * rows_bytes
